@@ -9,7 +9,6 @@ from mmgan.neural import (
     gradients,
     Network,
     SGD,
-    sgd_step,
 )
 from mmgan.manifold import SphereManifold, ManifoldTracker, estimate
 from mmgan.kernel import KernelSpec

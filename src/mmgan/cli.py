@@ -142,6 +142,7 @@ def _write_manifest(out_dir: str, cfg: RunConfig, artifacts: list) -> None:
 def cmd_train(args: argparse.Namespace) -> int:
     try:
         cfg = _load_run_config(args)
+        train_cfg = cfg.train_config()
         data = cfg.load_dataset()
     except (ValueError, OSError, _CliError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -182,7 +183,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             # Blow-ups surface as a clean NumericalError below; numpy's
             # per-op overflow warnings would only repeat the news.
             with np.errstate(all="ignore"):
-                result = train(cfg.train_config(), data, on_eval=on_eval)
+                result = train(train_cfg, data, on_eval=on_eval)
         finally:
             metrics_f.close()
         save_network(result.generator, os.path.join(out_dir, PARAMS_FILE))

@@ -19,8 +19,7 @@ from mmgan.loss import LossConfig
 from mmgan.trainer import TrainConfig
 
 __all__ = ["RunConfig", "DATASETS", "KERNEL_CHOICES", "OUT_ENV",
-           "parse_config_text", "manifest_text", "parse_artifacts",
-           "resolve_out_dir"]
+           "parse_config_text", "manifest_text", "resolve_out_dir"]
 
 DATASETS = ("ring8", "grid25", "rings2", "idx")
 KERNEL_CHOICES = ("none",) + tuple(k if k != "polynomial" else "poly"
@@ -174,13 +173,6 @@ def manifest_text(cfg: RunConfig, artifacts=()) -> str:
     for name in artifacts:
         lines.append(f"{_ARTIFACT_PREFIX} {name}")
     return "\n".join(lines) + "\n"
-
-
-def parse_artifacts(text: str) -> list:
-    """Artifact names recorded in a manifest."""
-    return [line[len(_ARTIFACT_PREFIX):].strip()
-            for line in text.splitlines()
-            if line.startswith(_ARTIFACT_PREFIX)]
 
 
 def resolve_out_dir(cfg: RunConfig, env=os.environ) -> str:

@@ -18,7 +18,7 @@ import numpy as np
 
 from mmgan.kernel import KernelSpec
 from mmgan.loss import LossConfig, generator_terms
-from mmgan.neural import Network, constant, gradients
+from mmgan.neural import Network, constant, gradients, no_grad
 
 __all__ = ["BASES", "TOLERANCE", "variant_names", "check_variant", "run_suite"]
 
@@ -91,14 +91,15 @@ def check_variant(name: str, alpha: float = 1.0, beta: float = 1.0,
     for key, tensor in params.items():
         flat = tensor.value.reshape(-1)
         fd = np.empty_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + _FD_STEP
-            hi = _loss_value(cfg, g_net, d_net, z, x).item()
-            flat[i] = orig - _FD_STEP
-            lo = _loss_value(cfg, g_net, d_net, z, x).item()
-            flat[i] = orig
-            fd[i] = (hi - lo) / (2.0 * _FD_STEP)
+        with no_grad():
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + _FD_STEP
+                hi = _loss_value(cfg, g_net, d_net, z, x).item()
+                flat[i] = orig - _FD_STEP
+                lo = _loss_value(cfg, g_net, d_net, z, x).item()
+                flat[i] = orig
+                fd[i] = (hi - lo) / (2.0 * _FD_STEP)
         a = analytic[key].reshape(-1)
         denom = max(np.abs(a).max(), np.abs(fd).max(), 1e-6)
         worst = max(worst, float(np.abs(a - fd).max() / denom))

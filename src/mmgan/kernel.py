@@ -1,8 +1,8 @@
 """Kernel functions and the kernel trick for feature-space geometry.
 
-Every op here is polymorphic: pass numpy arrays to get floats back, pass
-graph Tensors to get differentiable nodes. This keeps the numeric contract
-tests and the training graphs on literally the same code path.
+Each formula is written once, in Tensor ops: Tensors in give graph
+nodes, numpy arrays in give floats (`neural.accepts_arrays`). Only
+`kernel_eval`, the per-pair reference for `mean_gram`, is plain numpy.
 
 Feature-space geometry is computed without ever materializing the feature
 map. The centroid of a mapped batch is its mean embedding
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmgan.neural import Tensor, node
+from mmgan.neural import accepts_arrays, constant, node
 
 __all__ = [
     "KERNEL_KINDS",
@@ -68,62 +68,46 @@ class KernelSpec:
         return self.gamma if self.gamma is not None else 1.0 / dim
 
 
-def _val(x) -> np.ndarray:
-    return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-
-
-def _exp(x):
-    return x.exp() if isinstance(x, Tensor) else np.exp(x)
-
-
-def _sqrt(x):
-    return x.sqrt() if isinstance(x, Tensor) else np.sqrt(x)
-
-
-def _check_vectors(a, b):
-    va, vb = _val(a), _val(b)
-    if va.ndim != 1 or vb.ndim != 1:
-        raise ValueError(f"kernel inputs must be 1-D, got {va.shape} and {vb.shape}")
-    if va.shape != vb.shape:
-        raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    return va.shape[0]
-
-
-def kernel_eval(spec: KernelSpec, a, b):
-    """K(a, b) for two d-vectors."""
-    d = _check_vectors(a, b)
+def kernel_eval(spec: KernelSpec, a, b) -> float:
+    """K(a, b) for two d-vectors, in plain numpy."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError(f"kernel inputs must be 1-D, got {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if spec.kind == "linear":
-        return (a * b).sum()
+        return float((a * b).sum())
     if spec.kind == "polynomial":
-        return ((a * b).sum() + spec.coef0) ** spec.degree
-    gamma = spec.resolve_gamma(d)
+        return float(((a * b).sum() + spec.coef0) ** spec.degree)
+    gamma = spec.resolve_gamma(a.shape[0])
     diff = a - b
     sq = (diff * diff).sum()
     if spec.kind == "rbf":
-        return _exp(-gamma * sq)
-    return _exp(-gamma * _sqrt(sq))  # exp kernel, euclidean not squared
+        return float(np.exp(-gamma * sq))
+    return float(np.exp(-gamma * np.sqrt(sq)))  # exp kernel, euclidean not squared
 
 
+@accepts_arrays
 def kernel_self_batch(spec: KernelSpec, points):
     """K(s_i, s_i) per row. Constant 1 for rbf/exp, so those carry no
     gradient by construction."""
-    vp = _val(points)
-    if vp.ndim != 2:
-        raise ValueError(f"expected (n, d) points, got {vp.shape}")
+    if points.value.ndim != 2:
+        raise ValueError(f"expected (n, d) points, got {points.value.shape}")
     if spec.kind == "linear":
         return (points * points).sum(axis=1)
     if spec.kind == "polynomial":
         return ((points * points).sum(axis=1) + spec.coef0) ** spec.degree
-    return np.ones(vp.shape[0])
+    return constant(np.ones(points.value.shape[0]))
 
 
 def _batch(x):
     """A d-vector is a batch of one row."""
-    if _val(x).ndim == 1:
+    if x.value.ndim == 1:
         return x.reshape(1, -1)
     return x
 
 
+@accepts_arrays
 def mean_gram(spec: KernelSpec, a, b):
     """<mu_a, mu_b> = mean of K(a_i, b_j) over every row pair of an (n, d)
     and an (m, d) batch.
@@ -131,7 +115,7 @@ def mean_gram(spec: KernelSpec, a, b):
     One graph node with a hand-written vector-Jacobian product, so the
     n x m kernel matrix costs no per-entry graph bookkeeping.
     """
-    va, vb = _val(a), _val(b)
+    va, vb = a.value, b.value
     if (va.ndim != 2 or vb.ndim != 2 or va.shape[1] != vb.shape[1]
             or va.shape[0] < 1 or vb.shape[0] < 1):
         raise ValueError(f"incompatible batches {va.shape} and {vb.shape}")
@@ -162,43 +146,38 @@ def mean_gram(spec: KernelSpec, a, b):
             slope = np.divide(-gamma * k, dist, out=np.zeros_like(k),
                               where=dist > 0.0)
     value = k.sum() * w
-    if not isinstance(a, Tensor) and not isinstance(b, Tensor):
-        return float(value)
-    ta = a if isinstance(a, Tensor) else Tensor(va)
-    tb = b if isinstance(b, Tensor) else Tensor(vb)
 
     def vjp(g):
         # dot-product kernels: dK(a_i, b_j)/da_i = slope_ij b_j;
         # distance kernels:    dK(a_i, b_j)/da_i = slope_ij (a_i - b_j);
         # and the mirror images for b_j
         ga = gb = None
-        if ta.requires_grad:
+        if a.requires_grad:
             ga = slope @ vb
             if spec.kind in ("rbf", "exp"):
                 ga = slope.sum(axis=1)[:, None] * va - ga
             ga = ga * (g * w)
-        if tb.requires_grad:
+        if b.requires_grad:
             gb = slope.T @ va
             if spec.kind in ("rbf", "exp"):
                 gb = slope.sum(axis=0)[:, None] * vb - gb
             gb = gb * (g * w)
         return ga, gb
 
-    return node(value, (ta, tb), vjp)
+    return node(value, (a, b), vjp)
 
 
-def _psd_checked(v, scale):
+def _psd_checked(v, scale: float):
     """Clamp a kernel-trick squared distance at 0, raising if roundoff
     alone cannot explain a negative value."""
-    raw = float(_val(v))
+    raw = float(v.value)
     if raw < _PSD_SLACK * max(1.0, scale):
         raise ValueError(
             f"kernel trick produced {raw}, kernel not positive semidefinite")
-    if isinstance(v, Tensor):
-        return v.clamp_min(0.0)
-    return max(raw, 0.0)
+    return v.clamp_min(0.0)
 
 
+@accepts_arrays
 def feature_sq_dist(spec: KernelSpec, a, b):
     """||mu_a - mu_b||^2 between the feature-space centroids of a and b.
     Non-negative.
@@ -209,14 +188,15 @@ def feature_sq_dist(spec: KernelSpec, a, b):
     ValueError if roundoff alone cannot explain a negative value, since
     that means the kernel is not positive semidefinite here.
     """
-    if _val(a).ndim not in (1, 2) or _val(b).ndim not in (1, 2):
+    if a.value.ndim not in (1, 2) or b.value.ndim not in (1, 2):
         raise ValueError("kernel inputs must be d-vectors or (n, d) batches")
     a, b = _batch(a), _batch(b)
     kaa, kbb = mean_gram(spec, a, a), mean_gram(spec, b, b)
     v = kaa - 2.0 * mean_gram(spec, a, b) + kbb
-    return _psd_checked(v, float(_val(kaa)) + float(_val(kbb)))
+    return _psd_checked(v, float(kaa.value) + float(kbb.value))
 
 
+@accepts_arrays
 def kernel_radius(spec: KernelSpec, points):
     """Mean squared feature-space distance from the mapped points to their
     own centroid, the mean embedding mu: mean_i K(s_i, s_i) - <mu, mu>.
@@ -225,8 +205,8 @@ def kernel_radius(spec: KernelSpec, points):
     kernelized one is a mean of squared distances. The two conventions are
     kept deliberately distinct.
     """
-    vp = _val(points)
+    vp = points.value
     if vp.ndim != 2 or vp.shape[0] < 1:
         raise ValueError(f"expected non-empty (n, d) points, got {vp.shape}")
     diag = kernel_self_batch(spec, points).mean()
-    return _psd_checked(diag - mean_gram(spec, points, points), float(_val(diag)))
+    return _psd_checked(diag - mean_gram(spec, points, points), float(diag.value))

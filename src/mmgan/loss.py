@@ -1,4 +1,5 @@
-"""Assembly of generator and discriminator objectives.
+"""Assembly of generator and discriminator objectives, each written once
+in Tensor ops: graph Tensors in give nodes, numpy arrays in give floats.
 
 Two radius conventions coexist and must never be mixed: the plain-space
 sphere radius is a mean of distances, while the kernelized radius is a mean
@@ -35,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mmgan.kernel import KernelSpec, feature_sq_dist, kernel_radius
-from mmgan.manifold import SphereManifold
-from mmgan.neural import Tensor
+from mmgan.neural import accepts_arrays
 from mmgan.regularizer import r_g
 
 __all__ = [
@@ -45,14 +45,11 @@ __all__ = [
     "LossReport",
     "GeneratorTerms",
     "l_orig",
-    "l_g",
-    "l_g_kernel",
     "batch_centroid",
     "batch_radius",
     "rg_score",
     "rg_penalty",
     "generator_terms",
-    "l_g_final",
     "l_d_final",
 ]
 
@@ -95,8 +92,8 @@ class LossReport:
 
 @dataclass
 class GeneratorTerms:
-    """Decomposed generator objective. Fields are Tensors on the graph path
-    and floats on the numpy path; rg is rg_penalty, None when beta is 0."""
+    """Decomposed generator objective. Fields are Tensors (floats for array
+    inputs); rg is rg_penalty, None when beta is 0."""
 
     manifold: object
     radius: object
@@ -104,36 +101,18 @@ class GeneratorTerms:
     total: object
 
 
-def _is_graph(*xs) -> bool:
-    return any(isinstance(x, Tensor) for x in xs)
-
-
-def _log(x):
-    return x.log() if isinstance(x, Tensor) else np.log(x)
-
-
-def _sqrt(x):
-    return x.sqrt() if isinstance(x, Tensor) else np.sqrt(x)
-
-
-def _abs(x):
-    return x.abs() if isinstance(x, Tensor) else abs(float(x))
-
-
+@accepts_arrays
 def l_orig(d_real, d_fake):
     """mean log D(real) + mean log(1 - D(fake)), probabilities clamped to
     [1e-7, 1 - 1e-7] so the logs stay finite."""
     for name, x in (("d_real", d_real), ("d_fake", d_fake)):
-        v = x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-        if v.size < 1:
+        if x.value.size < 1:
             raise ValueError(f"{name} is empty")
-        if v.min() < 0.0 or v.max() > 1.0:
+        if x.value.min() < 0.0 or x.value.max() > 1.0:
             raise ValueError(f"{name} must hold probabilities in [0, 1]")
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
-    dr = d_real.clamp(lo, hi) if isinstance(d_real, Tensor) else np.clip(d_real, lo, hi)
-    df = d_fake.clamp(lo, hi) if isinstance(d_fake, Tensor) else np.clip(d_fake, lo, hi)
-    val = _log(dr).mean() + _log(1.0 - df).mean()
-    return val if isinstance(val, Tensor) else float(val)
+    return (d_real.clamp(lo, hi).log().mean()
+            + (1.0 - d_fake.clamp(lo, hi)).log().mean())
 
 
 def l_d_final(d_real, d_fake):
@@ -143,34 +122,28 @@ def l_d_final(d_real, d_fake):
     return -l_orig(d_real, d_fake)
 
 
-def l_g(m_real: SphereManifold, m_fake: SphereManifold) -> float:
-    """Plain manifold-matching loss between two fitted spheres:
-    centroid gap norm plus absolute radius gap, unweighted."""
-    if m_real.dim != m_fake.dim:
-        raise ValueError(f"dimension mismatch: {m_real.dim} vs {m_fake.dim}")
-    gap = float(np.linalg.norm(m_real.centroid - m_fake.centroid))
-    return gap + abs(m_real.radius - m_fake.radius)
-
-
+@accepts_arrays
 def batch_centroid(reps):
-    """Mean representation; polymorphic. Shape (d,)."""
+    """Mean representation. Shape (d,)."""
     return reps.mean(axis=0)
 
 
+@accepts_arrays
 def batch_radius(spec: KernelSpec | None, reps, c):
     """Radius of a batch under the convention spec selects: mean distance
     to c when spec is None; else mean squared feature distance to the
     batch's own mean embedding, which c (an input-space point) is not."""
     if spec is None:
         diff = reps - c
-        return _sqrt((diff * diff).sum(axis=1)).mean()
+        return (diff * diff).sum(axis=1).sqrt().mean()
     return kernel_radius(spec, reps)
 
 
+@accepts_arrays
 def rg_score(reps):
     """r_g scaled by its ceiling sqrt(n^2 - n): near 1 for a collapsed
     batch, 0 for decorrelated rows."""
-    n = (reps.value if isinstance(reps, Tensor) else np.asarray(reps)).shape[0]
+    n = reps.value.shape[0]
     return r_g(reps) * (1.0 / np.sqrt(n * n - n))
 
 
@@ -186,29 +159,11 @@ def rg_penalty(reps_real, reps_fake):
     and real agree and acts when fakes are more alike than data are, which
     is mode collapse.
     """
-    real = reps_real.value if isinstance(reps_real, Tensor) else reps_real
-    excess = rg_score(reps_fake) - float(rg_score(real))
-    if isinstance(excess, Tensor):
-        return excess.clamp_min(0.0)
-    return max(float(excess), 0.0)
+    excess = rg_score(reps_fake) - rg_score(reps_real.value)
+    return excess.clamp_min(0.0)
 
 
-def _centroid_gap(spec: KernelSpec | None, reps_real, reps_fake, c_real, c_fake):
-    if spec is None:
-        diff = c_real - c_fake
-        return _sqrt((diff * diff).sum())
-    return feature_sq_dist(spec, reps_real, reps_fake)
-
-
-def l_g_kernel(spec: KernelSpec, alpha: float, reps_real, reps_fake):
-    """Kernelized matching loss between two batches: trick-computed
-    distance between their mean embeddings plus the alpha-weighted gap of
-    their kernelized radii."""
-    return (feature_sq_dist(spec, reps_real, reps_fake)
-            + alpha * _abs(kernel_radius(spec, reps_real)
-                           - kernel_radius(spec, reps_fake)))
-
-
+@accepts_arrays
 def generator_terms(cfg: LossConfig, reps_real, reps_fake, *,
                     c_real=None, c_fake=None,
                     radius_real=None, radius_fake=None) -> GeneratorTerms:
@@ -228,8 +183,12 @@ def generator_terms(cfg: LossConfig, reps_real, reps_fake, *,
         radius_real = batch_radius(cfg.kernel, reps_real, c_real)
     if radius_fake is None:
         radius_fake = batch_radius(cfg.kernel, reps_fake, c_fake)
-    manifold = _centroid_gap(cfg.kernel, reps_real, reps_fake, c_real, c_fake)
-    radius = _abs(radius_real - radius_fake)
+    if cfg.kernel is None:
+        diff = c_real - c_fake
+        manifold = (diff * diff).sum().sqrt()
+    else:
+        manifold = feature_sq_dist(cfg.kernel, reps_real, reps_fake)
+    radius = (radius_real - radius_fake).abs()
     # alpha belongs to the kernelized radius gap only; the plain-space form
     # is an unweighted sum
     radius_weight = cfg.alpha if cfg.kernel is not None else 1.0
@@ -238,12 +197,5 @@ def generator_terms(cfg: LossConfig, reps_real, reps_fake, *,
     if cfg.beta > 0.0:
         rg = rg_penalty(reps_real, reps_fake)
         total = total + cfg.beta * rg
-    if not _is_graph(total):
-        total = float(total)
     return GeneratorTerms(manifold=manifold, radius=radius, rg=rg, total=total)
-
-
-def l_g_final(cfg: LossConfig, reps_real, reps_fake, **stats):
-    """Complete generator objective as a single scalar."""
-    return generator_terms(cfg, reps_real, reps_fake, **stats).total
 

@@ -19,7 +19,6 @@ __all__ = [
     "centroid",
     "radius",
     "estimate",
-    "matches",
     "ManifoldTracker",
     "tracker_update",
 ]
@@ -75,16 +74,6 @@ def estimate(points) -> SphereManifold:
     return SphereManifold(c, radius(points, c))
 
 
-def matches(a: SphereManifold, b: SphereManifold, tol: float) -> bool:
-    """Matching condition: centroid gap and radius gap both within tol."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    return (float(np.linalg.norm(a.centroid - b.centroid)) <= tol
-            and abs(a.radius - b.radius) <= tol)
-
-
 class ManifoldTracker:
     """Exponentially weighted moving average of per-batch sphere statistics.
 
@@ -98,10 +87,6 @@ class ManifoldTracker:
             raise ValueError(f"delta must be in [0, 1), got {delta}")
         self.delta = float(delta)
         self.current: SphereManifold | None = None
-
-    @property
-    def initialized(self) -> bool:
-        return self.current is not None
 
     def update(self, mini: SphereManifold) -> SphereManifold:
         return tracker_update(self, mini)

@@ -5,12 +5,16 @@ together with the recipe (parents + vector-Jacobian product) needed to push
 gradients backward. Graphs are built implicitly by arithmetic and consumed
 once by `backward`. Gradients are accumulated in a dict keyed by node, never
 stored on the nodes themselves, so parameter tensors can live across many
-steps without any zero_grad bookkeeping.
+steps without any zero_grad bookkeeping. Values that are never
+differentiated run the same ops inside `no_grad()`, which records no
+recipe. A network layer is one node: affine map plus activation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+import functools
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -18,6 +22,8 @@ __all__ = [
     "NumericalError",
     "Tensor",
     "node",
+    "no_grad",
+    "accepts_arrays",
     "constant",
     "parameter",
     "topo_order",
@@ -26,7 +32,6 @@ __all__ = [
     "Layer",
     "Network",
     "glorot_uniform",
-    "sgd_step",
     "SGD",
     "ACTIVATIONS",
 ]
@@ -49,16 +54,46 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
+# False inside no_grad(): ops then record no recipe
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Block in which ops compute values only: every result is a leaf
+    that needs no gradient, so no graph is built or kept alive."""
+    global _recording
+    saved = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = saved
+
+
 def node(value, parents, vjp):
     """Result of one op: `vjp(g)` maps the output gradient to one gradient
     per parent (None for a parent that needs none). Ops defined outside
     this module build their nodes here too.
     """
-    # Recipe is dropped when no parent needs gradients; constant subgraphs
-    # then cost nothing at backward time.
-    if any(p.requires_grad for p in parents):
+    # Recipe is dropped when no parent needs gradients, or inside no_grad;
+    # constant subgraphs then cost nothing at backward time.
+    if _recording and any(p.requires_grad for p in parents):
         return Tensor(value, requires_grad=True, parents=parents, vjp=vjp)
     return Tensor(value)
+
+
+# name -> (value(a), vjp(g, a, out)) with out = value(a)
+_ACT = {
+    "identity": (lambda a: a, lambda g, a, out: g),
+    "relu": (lambda a: np.maximum(a, 0.0), lambda g, a, out: g * (a > 0.0)),
+    "tanh": (np.tanh, lambda g, a, out: g * (1.0 - out * out)),
+    # two-branch form, stable for large |a|
+    "sigmoid": (lambda a: np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
+                                   np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a)))),
+                lambda g, a, out: g * out * (1.0 - out)),
+}
+ACTIVATIONS = tuple(_ACT)
 
 
 class Tensor:
@@ -158,16 +193,11 @@ class Tensor:
         out = a ** p
         return node(out, (self,), lambda g: (g * p * a ** (p - 1),))
 
-    def __matmul__(self, other):
-        if not isinstance(other, Tensor):
-            other = Tensor(other)
+    def __matmul__(self, other: "Tensor"):
         a, b = self.value, other.value
         if a.ndim != 2 or b.ndim != 2:
             raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
         return node(a @ b, (self, other), lambda g: (g @ b.T, a.T @ g))
-
-    def __rmatmul__(self, other):
-        return Tensor(other) @ self
 
     # -- reductions ------------------------------------------------------
 
@@ -211,20 +241,20 @@ class Tensor:
         a = self.value
         return node(np.abs(a), (self,), lambda g: (g * np.sign(a),))
 
+    def _activate(self, name: str) -> "Tensor":
+        value, vjp = _ACT[name]
+        a = self.value
+        out = value(a)
+        return node(out, (self,), lambda g: (vjp(g, a, out),))
+
     def tanh(self) -> "Tensor":
-        out = np.tanh(self.value)
-        return node(out, (self,), lambda g: (g * (1.0 - out * out),))
+        return self._activate("tanh")
 
     def sigmoid(self) -> "Tensor":
-        a = self.value
-        # two-branch form, stable for large |a|
-        out = np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
-                       np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a))))
-        return node(out, (self,), lambda g: (g * out * (1.0 - out),))
+        return self._activate("sigmoid")
 
     def relu(self) -> "Tensor":
-        a = self.value
-        return node(np.maximum(a, 0.0), (self,), lambda g: (g * (a > 0.0),))
+        return self._activate("relu")
 
     def clamp(self, lo: float, hi: float) -> "Tensor":
         a = self.value
@@ -252,6 +282,36 @@ def parameter(value) -> Tensor:
     if not np.isfinite(t.value).all():
         raise NumericalError("parameter initialized with non-finite values")
     return t
+
+
+def _lift(x):
+    return constant(x) if isinstance(x, np.ndarray) else x
+
+
+def _plain(x):
+    """Tensor -> float (scalar) or array; dataclass -> same, per field."""
+    if isinstance(x, Tensor):
+        return float(x.value) if x.value.ndim == 0 else x.value
+    if dataclasses.is_dataclass(x):
+        return dataclasses.replace(x, **{f.name: _plain(getattr(x, f.name))
+                                         for f in dataclasses.fields(x)})
+    return x
+
+
+def accepts_arrays(fn):
+    """Let a function written in Tensor ops also take numpy arrays.
+
+    Array arguments enter as constants, so they record no graph. If any
+    argument is a Tensor, the result is the graph node(s); otherwise it
+    comes back as plain values: arrays in, floats out.
+    """
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        graph = any(isinstance(x, Tensor) for x in (*args, *kwargs.values()))
+        out = fn(*[_lift(x) for x in args],
+                 **{k: _lift(x) for k, x in kwargs.items()})
+        return out if graph else _plain(out)
+    return wrapper
 
 
 def topo_order(root: Tensor) -> list:
@@ -319,30 +379,13 @@ def gradients(loss: Tensor, params: dict) -> dict:
 
 # -- networks ------------------------------------------------------------
 
-ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid")
-
-_ACT_GRAPH = {
-    "identity": lambda t: t,
-    "relu": Tensor.relu,
-    "tanh": Tensor.tanh,
-    "sigmoid": Tensor.sigmoid,
-}
-
-_ACT_PLAIN = {
-    "identity": lambda a: a,
-    "relu": lambda a: np.maximum(a, 0.0),
-    "tanh": np.tanh,
-    "sigmoid": lambda a: np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
-                                  np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a)))),
-}
-
 
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     s = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-s, s, size=(fan_in, fan_out))
 
 
-@dataclass
+@dataclasses.dataclass
 class Layer:
     """Affine map plus elementwise activation. weight is (fan_in, fan_out)."""
 
@@ -365,6 +408,20 @@ class Layer:
     @property
     def fan_out(self) -> int:
         return self.weight.value.shape[1]
+
+    def __call__(self, x: Tensor) -> Tensor:
+        """activation(x @ weight + bias) as one graph node."""
+        value, act_vjp = _ACT[self.activation]
+        xv, w = x.value, self.weight.value
+        pre = xv @ w + self.bias.value
+        out = value(pre)
+
+        def vjp(g):
+            gp = act_vjp(g, pre, out)
+            gx = gp @ w.T if x.requires_grad else None
+            return gx, xv.T @ gp, gp.sum(axis=0)
+
+        return node(out, (x, self.weight, self.bias), vjp)
 
 
 class Network:
@@ -437,40 +494,19 @@ class Network:
                 f"expected batch shape (n, {self.in_dim}), got {x.value.shape}")
         features = None
         for i, layer in enumerate(self.layers):
-            x = _ACT_GRAPH[layer.activation](x @ layer.weight + layer.bias)
+            x = layer(x)
             if i == self.feature_tap_index:
                 features = x
         if not np.isfinite(x.value).all() or not np.isfinite(features.value).all():
             raise NumericalError("non-finite activation in forward pass")
         return x, features
 
-    def forward_values(self, batch: np.ndarray) -> tuple:
-        """Graph-free forward for statistics and evaluation. Same math as
-        forward, returns plain arrays."""
-        x = np.asarray(batch, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
-            raise ValueError(
-                f"expected batch shape (n, {self.in_dim}), got {x.shape}")
-        features = None
-        for i, layer in enumerate(self.layers):
-            x = _ACT_PLAIN[layer.activation](x @ layer.weight.value + layer.bias.value)
-            if i == self.feature_tap_index:
-                features = x
-        if not np.isfinite(x).all():
-            raise NumericalError("non-finite activation in forward pass")
-        return x, features
-
-
-def sgd_step(net: Network, grads: dict, lr: float) -> None:
-    """In-place vanilla SGD update. grads keys must name net parameters."""
-    params = net.parameters()
-    for name, g in grads.items():
-        if name not in params:
-            raise ValueError(f"gradient for unknown parameter {name!r}")
-        g = np.asarray(g)
-        if not np.isfinite(g).all():
-            raise NumericalError(f"non-finite gradient for parameter {name!r}")
-        params[name].value -= lr * g
+    def forward_values(self, batch) -> tuple:
+        """forward under no_grad, for statistics and evaluation: returns
+        (output, features) as plain arrays."""
+        with no_grad():
+            out, features = self.forward(batch)
+        return out.value, features.value
 
 
 class SGD:

@@ -20,46 +20,26 @@ from __future__ import annotations
 
 import numpy as np
 
-from mmgan.neural import Tensor
+from mmgan.neural import accepts_arrays
 
-__all__ = ["correlation_matrix", "r_g", "EPS"]
+__all__ = ["r_g", "EPS"]
 
 EPS = 1e-8
 
 
-def correlation_matrix(reps) -> np.ndarray:
-    """Exact Pearson correlations between rows; constant rows give 0 entries
-    off the diagonal and 1 on it. Numeric inspection only, never part of a
-    gradient graph."""
-    reps = np.asarray(reps, dtype=np.float64)
-    if reps.ndim != 2 or reps.shape[0] < 2 or reps.shape[1] < 2:
-        raise ValueError(f"need at least 2 rows and 2 columns, got {reps.shape}")
-    centered = reps - reps.mean(axis=1, keepdims=True)
-    norms = np.sqrt((centered ** 2).sum(axis=1))
-    safe = np.where(norms > 0, norms, 1.0)
-    a = (centered / safe[:, None]) @ (centered / safe[:, None]).T
-    np.fill_diagonal(a, 1.0)
-    return np.clip(a, -1.0, 1.0)
-
-
+@accepts_arrays
 def r_g(reps, eps: float = EPS):
     """||I - A||_F with A the (smoothed) row-correlation matrix of reps.
 
-    Polymorphic: a Tensor in gives a differentiable Tensor out, an array in
-    gives a float.
+    A Tensor in gives a differentiable Tensor out, an array in gives a
+    float.
     """
-    graph = isinstance(reps, Tensor)
-    v = reps.value if graph else np.asarray(reps, dtype=np.float64)
+    v = reps.value
     if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
         raise ValueError(f"need at least 2 rows and 2 columns, got {v.shape}")
     centered = reps - reps.mean(axis=1, keepdims=True)
     sq = (centered * centered).sum(axis=1, keepdims=True)
-    if graph:
-        denom = sq.sqrt().clamp_min(eps)
-    else:
-        denom = np.maximum(np.sqrt(sq), eps)
-    unit = centered / denom
+    unit = centered / sq.sqrt().clamp_min(eps)
     a = unit @ unit.T
     diff = np.eye(v.shape[0]) - a
-    out = ((diff * diff).sum()).sqrt() if graph else float(np.sqrt((diff * diff).sum()))
-    return out
+    return (diff * diff).sum().sqrt()

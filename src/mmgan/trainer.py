@@ -148,17 +148,17 @@ class LatentSampler:
         return rng.standard_normal((n, self.dim))
 
 
-def blended_stats(delta: float, tracker: ManifoldTracker, feats, kernel_spec):
-    """Differentiable (centroid, radius) mixing tracker history into the
-    mini-batch nodes. History enters as constants: gradients flow only
-    through the mini-batch side."""
-    c_mini = batch_centroid(feats)
-    r_mini = batch_radius(kernel_spec, feats, c_mini)
-    if tracker.current is None or delta == 0.0:
-        return c_mini, r_mini
-    prev = tracker.current
-    return (delta * prev.centroid + (1.0 - delta) * c_mini,
-            delta * prev.radius + (1.0 - delta) * r_mini)
+def blended_stats(delta: float, prev: SphereManifold | None, feats, kernel_spec):
+    """Differentiable (centroid, radius) mixing the tracker state prev, if
+    any, into the mini-batch nodes; gradients flow only through the latter.
+    The kernelized loss reads no centroid, so with a kernel it is None."""
+    c = batch_centroid(feats) if kernel_spec is None else None
+    r = batch_radius(kernel_spec, feats, c)
+    if prev is not None and delta != 0.0:
+        r = delta * prev.radius + (1.0 - delta) * r
+        if c is not None:
+            c = delta * prev.centroid + (1.0 - delta) * c
+    return c, r
 
 
 def d_step(g_net: Network, d_net: Network, opt_d: SGD,
@@ -185,7 +185,7 @@ def update_trackers(cfg: TrainConfig, d_net: Network,
     spec = cfg.loss.kernel
     for tracker, feats in ((real_tracker, feat_real), (fake_tracker, feat_fake)):
         c = feats.mean(axis=0)
-        tracker_update(tracker, SphereManifold(c, float(batch_radius(spec, feats, c))))
+        tracker_update(tracker, SphereManifold(c, batch_radius(spec, feats, c)))
     return feat_real, feat_fake
 
 
@@ -208,28 +208,23 @@ def g_step(cfg: TrainConfig, g_net: Network, d_net: Network, opt_g: SGD,
         # matching terms are reported for observability even though the
         # baseline never optimizes them
         fv = feat_fake.value
-        c_f = fv.mean(axis=0)
-        m_f = SphereManifold(c_f, float(batch_radius(None, fv, c_f)))
+        m_f = estimate(fv)
         m_r = estimate(feat_real) if feat_real is not None else m_f
         cg, rgap = manifold_gap(m_r, m_f)
-        return loss_node.item(), cg, rgap, float(rg_score(fv))
+        return loss_node.item(), cg, rgap, rg_score(fv)
 
     lc = cfg.loss
     # real side: the tracker already folded this batch in, so its current
     # state IS the blend; enters as constants
-    c_r = real_tracker.current.centroid
-    r_r = real_tracker.current.radius
+    real = real_tracker.current
     # fake side: blend the pre-refresh tracker with the live mini nodes
-    shadow = ManifoldTracker(lc.delta)
-    shadow.current = pre_fake
-    c_f, r_f = blended_stats(lc.delta, shadow, feat_fake, lc.kernel)
+    c_f, r_f = blended_stats(lc.delta, pre_fake, feat_fake, lc.kernel)
     terms = generator_terms(lc, feat_real, feat_fake,
-                            c_real=c_r, c_fake=c_f,
-                            radius_real=r_r, radius_fake=r_f)
+                            c_real=real.centroid if lc.kernel is None else None,
+                            c_fake=c_f, radius_real=real.radius, radius_fake=r_f)
     opt_g.step(gradients(terms.total, g_net.parameters()))
-    rg_val = float(rg_score(feat_fake.value))
-    return (terms.total.item(), float(terms.manifold.item()),
-            float(terms.radius.item()), rg_val)
+    return (terms.total.item(), terms.manifold.item(), terms.radius.item(),
+            rg_score(feat_fake.value))
 
 
 def _copy_network(net: Network) -> Network:
@@ -341,7 +336,7 @@ def score_samples(fake: np.ndarray, real: np.ndarray, data: DatasetHandle, *,
         modes, hq, frac = 0, 0.0, 0.0
     return MetricsRow(step=step, modes_covered=modes, coverage_fraction=frac,
                       hq_fraction=hq, centroid_gap=cg, radius_gap=rgap,
-                      r_g_value=float(r_g(fake)))
+                      r_g_value=r_g(fake))
 
 
 def evaluate(generator: Network, data: DatasetHandle, n_samples: int, *,

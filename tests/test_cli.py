@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mmgan.cli import main
-from mmgan.config import parse_artifacts, parse_config_text
+from mmgan.config import parse_config_text
 from mmgan.trainer import evaluate
 from mmgan.persist import load_network
 
@@ -48,7 +48,10 @@ def test_metrics_csv_shape(tmp_path):
 
 def test_manifest_closes_over_directory(tmp_path):
     out = run_fast(tmp_path)
-    listed = set(parse_artifacts((out / "manifest.txt").read_text()))
+    prefix = "# artifact: "
+    listed = {line[len(prefix):]
+              for line in (out / "manifest.txt").read_text().splitlines()
+              if line.startswith(prefix)}
     present = {p.name for p in out.iterdir()}
     assert listed == present
 
@@ -119,6 +122,19 @@ def test_train_rejects_bad_config(tmp_path, capsys):
 def test_train_rejects_bad_flag_value(capsys):
     assert main(["train", "--dataset", "nosuch"]) == 1
     assert "nosuch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--steps", "0"], ["--batch", "1"], ["--alpha", "-1"], ["--delta", "1.5"],
+    ["--kernel", "rbf", "--gamma", "-1"], ["--eval-interval", "0"],
+], ids=lambda f: " ".join(f))
+def test_train_rejects_bad_numeric_flag(tmp_path, capsys, flags):
+    out = tmp_path / "run"
+    assert main(["train", *FAST, *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_train_unwritable_out_dir(tmp_path, capsys):

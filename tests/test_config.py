@@ -1,7 +1,7 @@
 import pytest
 
-from mmgan.config import (RunConfig, manifest_text, parse_artifacts,
-                          parse_config_text, resolve_out_dir)
+from mmgan.config import (RunConfig, manifest_text, parse_config_text,
+                          resolve_out_dir)
 from mmgan.kernel import KernelSpec
 
 
@@ -81,7 +81,7 @@ def test_train_config_mapping():
 
 def test_artifact_lines():
     text = manifest_text(RunConfig(), artifacts=["metrics.csv", "g.bin"])
-    assert parse_artifacts(text) == ["metrics.csv", "g.bin"]
+    assert text.endswith("# artifact: metrics.csv\n# artifact: g.bin\n")
     # artifact comments must not break reparsing
     assert parse_config_text(text) == RunConfig()
 

@@ -178,7 +178,7 @@ def test_gram_matrices_are_psd():
 def test_psd_violation_detected(monkeypatch):
     # force K(a,a)=0, K(a,b)=1: the trick yields -2, which must be rejected
     monkeypatch.setattr(kernel_mod, "mean_gram",
-                        lambda spec, a, b: 0.0 if a is b else 1.0)
+                        lambda spec, a, b: constant(0.0 if a is b else 1.0))
     with pytest.raises(ValueError, match="positive semidefinite"):
         feature_sq_dist(KernelSpec("linear"), np.zeros(2), np.ones(2))
 
@@ -189,8 +189,6 @@ def test_tensor_path_matches_numpy_path():
     a, b = rng.normal(size=3), rng.normal(size=3)
     c = pts.mean(axis=0)
     for spec in ALL_SPECS:
-        te = kernel_eval(spec, parameter(a), parameter(b))
-        assert te.item() == pytest.approx(kernel_eval(spec, a, b), rel=1e-12)
         td = feature_sq_dist(spec, parameter(a), parameter(b))
         assert td.item() == pytest.approx(feature_sq_dist(spec, a, b), rel=1e-12)
         tr = kernel_radius(spec, parameter(pts))

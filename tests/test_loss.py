@@ -11,12 +11,9 @@ from mmgan.loss import (
     batch_radius,
     generator_terms,
     l_d_final,
-    l_g,
-    l_g_final,
-    l_g_kernel,
     l_orig,
 )
-from mmgan.manifold import SphereManifold, estimate
+from mmgan.manifold import estimate
 from mmgan.neural import constant, gradients, parameter
 from mmgan.regularizer import r_g
 from oracles import fd_gradients, max_rel_err
@@ -64,15 +61,6 @@ def test_bce_is_negated_l_orig():
     assert l_d_final(dr, df) == pytest.approx(-l_orig(dr, df), rel=1e-15)
 
 
-def test_l_g_between_spheres():
-    a = SphereManifold(np.array([0.0, 0.0]), 1.0)
-    b = SphereManifold(np.array([3.0, 4.0]), 3.0)
-    assert l_g(a, b) == pytest.approx(7.0)  # gap 5 + radius gap 2
-    assert l_g(a, a) == 0.0
-    with pytest.raises(ValueError):
-        l_g(a, SphereManifold(np.zeros(3), 1.0))
-
-
 def test_batch_radius_conventions_differ():
     # points at distances 1, 1 and 2 from their centroid (1, 0): mean dist
     # 4/3, mean sq dist 2 (the linear mean embedding is that centroid)
@@ -97,7 +85,8 @@ def test_l_g_kernel_linear_reduces_to_plain_geometry():
     want = (np.sum((cr - cf) ** 2)
             + 0.5 * abs(((real - cr) ** 2).sum(axis=1).mean()
                         - ((fake - cf) ** 2).sum(axis=1).mean()))
-    got = l_g_kernel(KernelSpec("linear"), 0.5, real, fake)
+    cfg = LossConfig(alpha=0.5, beta=0.0, kernel=KernelSpec("linear"))
+    got = generator_terms(cfg, real, fake).total
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -111,20 +100,19 @@ def test_generator_terms_decomposition_identity():
         rw = cfg.alpha if cfg.kernel is not None else 1.0
         want = t.manifold + rw * t.radius + cfg.beta * (t.rg or 0.0)
         assert t.total == pytest.approx(want, abs=1e-10)
-        assert l_g_final(cfg, real, fake) == pytest.approx(t.total, rel=1e-15)
 
 
 def test_alpha_ignored_without_kernel():
     rng = np.random.default_rng(12)
     real, fake = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
-    a = l_g_final(LossConfig(alpha=1.0, beta=0.0), real, fake)
-    b = l_g_final(LossConfig(alpha=5.0, beta=0.0), real, fake)
+    a = generator_terms(LossConfig(alpha=1.0, beta=0.0), real, fake).total
+    b = generator_terms(LossConfig(alpha=5.0, beta=0.0), real, fake).total
     assert a == pytest.approx(b, rel=1e-15)
     # but scales the kernelized radius gap
-    ka = l_g_final(LossConfig(alpha=1.0, beta=0.0, kernel=KernelSpec("linear")),
-                   real, fake)
-    kb = l_g_final(LossConfig(alpha=5.0, beta=0.0, kernel=KernelSpec("linear")),
-                   real, fake)
+    ka = generator_terms(LossConfig(alpha=1.0, beta=0.0,
+                                    kernel=KernelSpec("linear")), real, fake).total
+    kb = generator_terms(LossConfig(alpha=5.0, beta=0.0,
+                                    kernel=KernelSpec("linear")), real, fake).total
     t = generator_terms(LossConfig(alpha=1.0, beta=0.0,
                                    kernel=KernelSpec("linear")), real, fake)
     assert kb - ka == pytest.approx(4.0 * t.radius, rel=1e-9)
@@ -180,8 +168,9 @@ def test_graph_and_numpy_paths_agree():
     real, fake = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
     for cfg in (LossConfig(), LossConfig(kernel=KernelSpec("exp", gamma=0.3)),
                 LossConfig(kernel=KernelSpec("poly", degree=2), alpha=0.4, beta=0.2)):
-        node = l_g_final(cfg, constant(real), parameter(fake))
-        assert node.item() == pytest.approx(l_g_final(cfg, real, fake), rel=1e-12)
+        node = generator_terms(cfg, constant(real), parameter(fake)).total
+        assert node.item() == pytest.approx(
+            generator_terms(cfg, real, fake).total, rel=1e-12)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -198,7 +187,7 @@ def test_generator_loss_gradient_fd(cfg):
     params = {"fake": parameter(fake0)}
 
     def build():
-        return l_g_final(cfg, constant(real), params["fake"])
+        return generator_terms(cfg, constant(real), params["fake"]).total
 
     analytic = gradients(build(), params)
     numeric = fd_gradients(lambda: build().item(), {"fake": params["fake"].value},

@@ -9,7 +9,6 @@ from mmgan.manifold import (
     SphereManifold,
     centroid,
     estimate,
-    matches,
     radius,
     tracker_update,
 )
@@ -81,25 +80,12 @@ def test_input_validation():
         SphereManifold(np.array([1.0]), float("nan"))
 
 
-def test_matches_condition():
-    a = SphereManifold(np.array([0.0, 0.0]), 1.0)
-    b = SphereManifold(np.array([0.3, 0.4]), 1.2)  # centroid gap 0.5, radius gap 0.2
-    assert matches(a, b, tol=0.5)
-    assert not matches(a, b, tol=0.4)
-    assert not matches(a, b, tol=0.19) is True
-    assert matches(a, a, tol=0.0)
-    with pytest.raises(ValueError, match="dimension"):
-        matches(a, SphereManifold(np.zeros(3), 1.0), tol=1.0)
-    with pytest.raises(ValueError):
-        matches(a, b, tol=-1.0)
-
-
 def test_tracker_first_update_adopts_mini():
     t = ManifoldTracker(delta=0.9)
-    assert not t.initialized
+    assert t.current is None
     m = SphereManifold(np.array([0.0, 0.0]), 1.0)
     out = tracker_update(t, m)
-    assert t.initialized
+    assert t.current is m
     assert out is m
 
 

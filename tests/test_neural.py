@@ -12,8 +12,8 @@ from mmgan.neural import (
     constant,
     glorot_uniform,
     gradients,
+    no_grad,
     parameter,
-    sgd_step,
     topo_order,
 )
 from oracles import fd_gradients, max_rel_err, rel_err
@@ -280,12 +280,24 @@ def test_forward_values_matches_graph_forward():
     np.testing.assert_array_equal(feat_g.value, feat_v)
 
 
-def test_network_gradient_fd():
+@pytest.mark.parametrize("act", ACTIVATIONS)
+def test_network_gradient_fd(act):
+    # every layer is one fused node, so this checks its VJP per activation
     rng = np.random.default_rng(4)
-    net = Network.create((2, 6, 4, 1), hidden_activation="tanh",
-                         out_activation="sigmoid", rng=rng)
+    net = Network.create((2, 6, 4, 1), hidden_activation=act,
+                         out_activation=act, rng=rng)
     x = rng.normal(size=(7, 2))
     params = net.parameters()
+    if act == "relu":
+        # relu inputs off the kink: a central difference across 0 would
+        # measure the kink, not the VJP
+        for layer in net.layers:
+            layer.bias.value += 0.1
+        h = x
+        for layer in net.layers:
+            pre = h @ layer.weight.value + layer.bias.value
+            assert np.abs(pre).min() > 1e-3
+            h = np.maximum(pre, 0.0)
 
     def loss_node():
         out, feats = net.forward(x)
@@ -310,17 +322,33 @@ def test_sgd_step_moves_parameters():
     net = Network.create((2, 3, 1), rng=np.random.default_rng(0))
     before = {k: p.value.copy() for k, p in net.parameters().items()}
     g = {k: np.ones_like(p.value) for k, p in net.parameters().items()}
-    sgd_step(net, g, lr=0.1)
+    SGD(net.parameters(), lr=0.1).step(g)
     for k, p in net.parameters().items():
         np.testing.assert_allclose(p.value, before[k] - 0.1)
 
 
 def test_sgd_step_unknown_key_and_nonfinite():
     net = Network.create((2, 3, 1), rng=np.random.default_rng(0))
+    opt = SGD(net.parameters(), lr=0.1)
     with pytest.raises(ValueError, match="unknown parameter"):
-        sgd_step(net, {"nope": np.zeros(3)}, lr=0.1)
+        opt.step({"nope": np.zeros(3)})
     with pytest.raises(NumericalError):
-        sgd_step(net, {"layer0.b": np.full(3, np.nan)}, lr=0.1)
+        opt.step({"layer0.b": np.full(3, np.nan)})
+
+
+def test_no_grad_records_nothing_and_restores():
+    net = Network.create((2, 5, 1), rng=np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(4, 2))
+    with no_grad():
+        out, feats = net.forward(x)
+    for t in (out, feats):
+        assert isinstance(t, Tensor)
+        assert t.parents == () and not t.requires_grad
+    with pytest.raises(RuntimeError, match="inside"):
+        with no_grad():
+            raise RuntimeError("inside")
+    out, _ = net.forward(x)
+    assert out.requires_grad and out.parents
 
 
 def test_sgd_momentum_matches_hand_rollout():

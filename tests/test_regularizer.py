@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mmgan.neural import gradients, parameter
-from mmgan.regularizer import correlation_matrix, r_g
+from mmgan.regularizer import r_g
 from oracles import brute_corr, fd_gradients, max_rel_err
 
 # zero-mean, mutually orthogonal rows: correlations vanish exactly
@@ -13,22 +13,6 @@ DECORRELATED = np.array([
     [1.0, 1.0, -1.0, -1.0],
     [1.0, -1.0, -1.0, 1.0],
 ])
-
-
-def test_correlation_matrix_against_textbook_loop():
-    rng = np.random.default_rng(0)
-    reps = rng.normal(size=(6, 9))
-    got = correlation_matrix(reps)
-    np.testing.assert_allclose(got, brute_corr(reps), atol=1e-12)
-
-
-def test_correlation_matrix_shape_and_bounds():
-    rng = np.random.default_rng(1)
-    a = correlation_matrix(rng.normal(size=(5, 7)))
-    assert a.shape == (5, 5)
-    np.testing.assert_allclose(a, a.T, atol=1e-15)
-    np.testing.assert_allclose(np.diag(a), 1.0)
-    assert a.min() >= -1.0 and a.max() <= 1.0
 
 
 def test_decorrelated_batch_scores_below_1e8():
@@ -51,17 +35,14 @@ def test_collapsed_scores_higher_than_spread():
 def test_constant_rows_fall_back_to_identity_norm():
     reps = np.ones((3, 5))  # zero variance rows: A becomes all zeros
     assert r_g(reps) == pytest.approx(np.sqrt(3.0), rel=1e-9)
-    a = correlation_matrix(reps)
-    np.testing.assert_allclose(np.diag(a), 1.0)
-    assert np.allclose(a - np.diag(np.diag(a)), 0.0)
 
 
 def test_r_g_matches_exact_correlation_route():
-    # two independent routes: smoothed graph formula vs exact correlations
+    # two independent routes: smoothed graph formula vs textbook correlations
     rng = np.random.default_rng(3)
     reps = rng.normal(size=(7, 12))
     direct = r_g(reps)
-    via_corr = np.linalg.norm(np.eye(7) - correlation_matrix(reps))
+    via_corr = np.linalg.norm(np.eye(7) - brute_corr(reps))
     assert direct == pytest.approx(via_corr, rel=1e-9)
 
 
@@ -72,8 +53,6 @@ def test_validation():
         r_g(np.zeros((5, 1)))
     with pytest.raises(ValueError):
         r_g(np.zeros(5))
-    with pytest.raises(ValueError):
-        correlation_matrix(np.zeros((1, 5)))
 
 
 def test_tensor_path_matches_numpy_path():

@@ -49,7 +49,8 @@ def test_train_smoke_and_result_shape():
         assert r.r_g >= 0.0
     assert res.generator.in_dim == 2 and res.generator.out_dim == 2
     assert res.discriminator.out_dim == 1
-    assert res.real_tracker.initialized and res.fake_tracker.initialized
+    assert res.real_tracker.current is not None
+    assert res.fake_tracker.current is not None
 
 
 def test_train_is_deterministic_per_seed():
@@ -177,7 +178,7 @@ def test_baseline_mode_skips_manifold_machinery(monkeypatch):
                         lambda *a, **k: called.append(1))
     res = train(tiny_cfg(steps=4, baseline_mode=True), make_dataset("ring8"))
     assert called == []
-    assert not res.real_tracker.initialized
+    assert res.real_tracker.current is None
     assert len(res.history) == 4
     assert all(np.isfinite(r.l_g_final) for r in res.history)
 
@@ -260,27 +261,29 @@ def test_update_trackers_initializes_both():
     fake_pts = g.forward_values(rng.normal(size=(8, 2)))[0]
     rt, ft = ManifoldTracker(0.9), ManifoldTracker(0.9)
     feat_real, feat_fake = update_trackers(cfg, d, x, fake_pts, rt, ft)
-    assert rt.initialized and ft.initialized
+    assert rt.current is not None and ft.current is not None
     assert feat_real.shape == (8, 8) and feat_fake.shape == (8, 8)
     np.testing.assert_allclose(rt.current.centroid, feat_real.mean(axis=0))
 
 
 def test_blended_stats_uninitialized_passes_mini_through():
     feats = np.random.default_rng(4).normal(size=(6, 3))
-    c, r = blended_stats(0.9, ManifoldTracker(0.9), feats, None)
+    c, r = blended_stats(0.9, None, feats, None)
     np.testing.assert_allclose(c, feats.mean(axis=0))
     assert r == pytest.approx(batch_radius(None, feats, feats.mean(axis=0)))
 
 
 def test_blended_stats_hand_case():
     feats = np.array([[1.0, 0.0], [3.0, 0.0]])  # c_mini=(2,0), r_mini=1
-    t = ManifoldTracker(0.9)
-    t.current = SphereManifold(np.array([0.0, 0.0]), 3.0)
-    c, r = blended_stats(0.9, t, feats, None)
+    prev = SphereManifold(np.array([0.0, 0.0]), 3.0)
+    c, r = blended_stats(0.9, prev, feats, None)
     np.testing.assert_allclose(c, [0.2, 0.0])
     assert r == pytest.approx(0.9 * 3.0 + 0.1 * 1.0)
-    # value path must not mutate the tracker itself
-    assert t.current.radius == 3.0
+    # the kernelized loss reads no centroid: only the radius is blended,
+    # here the linear kernel's mean squared distance 1
+    c, r = blended_stats(0.9, prev, feats, KernelSpec("linear"))
+    assert c is None
+    assert r == pytest.approx(0.9 * 3.0 + 0.1 * 1.0)
 
 
 def test_training_fits_a_single_gaussian():
