@@ -7,6 +7,7 @@ training, 4 gradient check failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import os
@@ -23,6 +24,8 @@ from mmgan.config import (
     resolve_out_dir,
 )
 from mmgan.gradcheck import run_suite, variant_names
+from mmgan.loss import LossReport
+from mmgan.metrics import MetricsRow
 from mmgan.neural import NumericalError
 from mmgan.persist import load_network, save_network
 from mmgan.svgplot import scatter_svg
@@ -39,11 +42,6 @@ EXIT_GRADCHECK = 4
 METRICS_FILE = "metrics.csv"
 MANIFEST_FILE = "manifest.txt"
 PARAMS_FILE = "generator.bin"
-METRICS_COLUMNS = ("step", "loss_g", "loss_d", "l_orig", "manifold_term",
-                   "radius_term", "r_g", "modes_covered", "hq_fraction",
-                   "centroid_gap", "radius_gap")
-EVAL_COLUMNS = ("step", "modes_covered", "coverage_fraction", "hq_fraction",
-                "centroid_gap", "radius_gap", "r_g_value")
 
 
 class _CliError(Exception):
@@ -60,6 +58,24 @@ class _Parser(argparse.ArgumentParser):
 def _fmt(value) -> str:
     """Floats go through repr for exact round-trip and stable reruns."""
     return repr(float(value))
+
+
+def _fields(record, skip=()) -> list:
+    return [f for f in dataclasses.fields(record) if f.name not in skip]
+
+
+# A metrics.csv row is the step's LossReport followed by its evaluation's
+# MetricsRow less these fields, which only `mmgan eval` prints.
+_EVAL_ONLY = ("step", "coverage_fraction", "r_g_value")
+METRICS_COLUMNS = tuple(f.name for f in _fields(LossReport)
+                        + _fields(MetricsRow, skip=_EVAL_ONLY))
+EVAL_COLUMNS = tuple(f.name for f in _fields(MetricsRow))
+
+
+def _cells(record, skip=()) -> list:
+    """CSV cells of a record's fields: ints as written, floats by _fmt."""
+    return [str(getattr(record, f.name)) if f.type == "int"
+            else _fmt(getattr(record, f.name)) for f in _fields(record, skip)]
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -84,19 +100,11 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eval-samples", dest="eval_samples", type=int)
 
 
-_OVERRIDE_KEYS = ("dataset", "idx_images", "idx_labels", "kernel", "alpha",
-                  "beta", "delta", "gamma", "steps", "batch", "seed", "out",
-                  "baseline", "d_steps_per_g", "eval_interval", "eval_samples")
-
-
 def _overrides(args: argparse.Namespace) -> dict:
-    """Flags the user actually passed, typed for RunConfig."""
-    out = {}
-    for key in _OVERRIDE_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            out[key] = value
-    return out
+    """Flags the user actually passed that name RunConfig fields."""
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
+    return {key: value for key, value in vars(args).items()
+            if key in keys and value is not None}
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
@@ -134,15 +142,15 @@ def _write_manifest(out_dir: str, cfg: RunConfig, artifacts: list) -> None:
     # The manifest lists itself so the artifact record is closed over the
     # directory contents.
     names = list(artifacts) + [MANIFEST_FILE]
-    with open(os.path.join(out_dir, MANIFEST_FILE), "w", newline="\n",
-              encoding="utf-8") as f:
+    path = os.path.join(out_dir, MANIFEST_FILE)
+    with open(path + ".tmp", "w", newline="\n", encoding="utf-8") as f:
         f.write(manifest_text(cfg, artifacts=names))
+    os.replace(path + ".tmp", path)
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     try:
         cfg = _load_run_config(args)
-        train_cfg = cfg.train_config()
         data = cfg.load_dataset()
     except (ValueError, OSError, _CliError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -152,6 +160,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = dataclasses.replace(cfg, out=out_dir)
     try:
         os.makedirs(out_dir, exist_ok=True)
+        # The manifest marks a finished run; until this run writes its own,
+        # no earlier run's manifest or parameters may sit beside its metrics.
+        for name in (MANIFEST_FILE, PARAMS_FILE):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out_dir, name))
         metrics_f = open(os.path.join(out_dir, METRICS_FILE), "w",
                          newline="", encoding="utf-8")
     except OSError as e:
@@ -166,13 +179,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         fake, real = draw_eval_batch(g_net, data, cfg.eval_samples,
                                      seed=cfg.seed, step=step)
         row = score_samples(fake, real, data, step=step)
-        writer.writerow(
-            [str(step)]
-            + [_fmt(v) for v in (report.l_g_final, report.l_d_final,
-                                 report.l_orig, report.manifold_term,
-                                 report.radius_term, report.r_g)]
-            + [str(row.modes_covered), _fmt(row.hq_fraction),
-               _fmt(row.centroid_gap), _fmt(row.radius_gap)])
+        writer.writerow(_cells(report) + _cells(row, skip=_EVAL_ONLY))
         metrics_f.flush()
         _write_samples(out_dir, step, fake, artifacts)
         if data.dim == 2:
@@ -183,10 +190,12 @@ def cmd_train(args: argparse.Namespace) -> int:
             # Blow-ups surface as a clean NumericalError below; numpy's
             # per-op overflow warnings would only repeat the news.
             with np.errstate(all="ignore"):
-                result = train(train_cfg, data, on_eval=on_eval)
+                result = train(cfg, data, on_eval=on_eval)
         finally:
             metrics_f.close()
-        save_network(result.generator, os.path.join(out_dir, PARAMS_FILE))
+        params = os.path.join(out_dir, PARAMS_FILE)
+        save_network(result.generator, params + ".tmp")
+        os.replace(params + ".tmp", params)
         artifacts.append(PARAMS_FILE)
         _write_manifest(out_dir, cfg, artifacts)
     except NumericalError as e:
@@ -236,17 +245,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     step = cfg.steps if args.step is None else args.step
     try:
         fake, real = draw_eval_batch(net, data, n, seed=seed, step=step)
+        row = score_samples(fake, real, data, step=step)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    row = score_samples(fake, real, data, step=step)
 
     w = csv.writer(sys.stdout, lineterminator="\n")
     w.writerow(EVAL_COLUMNS)
-    w.writerow([str(row.step), str(row.modes_covered),
-                _fmt(row.coverage_fraction), _fmt(row.hq_fraction),
-                _fmt(row.centroid_gap), _fmt(row.radius_gap),
-                _fmt(row.r_g_value)])
+    w.writerow(_cells(row))
     return EXIT_OK
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields
 from mmgan.data import DatasetHandle, load_idx, make_dataset
 from mmgan.kernel import KERNEL_KINDS, KernelSpec
 from mmgan.loss import LossConfig
-from mmgan.trainer import TrainConfig
+from mmgan.neural import ACTIVATIONS
 
 __all__ = ["RunConfig", "DATASETS", "KERNEL_CHOICES", "OUT_ENV",
            "parse_config_text", "manifest_text", "resolve_out_dir"]
@@ -30,8 +30,10 @@ _ARTIFACT_PREFIX = "# artifact:"
 
 @dataclass
 class RunConfig:
-    """Everything a run needs, flattened to scalars so it can live in a
-    key=value file. Mirrors TrainConfig/LossConfig defaults."""
+    """Everything one run needs besides the dataset itself, flattened to
+    scalars so it can live in a key=value file: each field is a manifest
+    key, parsed and formatted by its type annotation. Construction rejects
+    values outside each field's range."""
 
     dataset: str = "ring8"
     idx_images: str | None = None
@@ -50,6 +52,13 @@ class RunConfig:
     g_hidden: tuple = (64, 64)
     d_hidden: tuple = (64, 16)
     g_out_activation: str = "identity"
+    # G runs hot (momentum): its only signal is the matching objective,
+    # whose kernel terms are bounded by 2 and whose radius gap passes
+    # gradient through the (1-delta) mini-batch share of the blend alone.
+    # D runs plain. On ring8 rbf (20000 steps, seeds 0-4) lr_d 0.01 left
+    # two runs at high-quality fractions of 0.30 and 0.44, while a D that
+    # outpaces G (lr_d 0.03, or momentum 0.5) made one run lose most of the
+    # modes it had found; so did lr_g 0.07.
     lr_g: float = 0.05
     lr_d: float = 0.02
     momentum_g: float = 0.9
@@ -67,6 +76,32 @@ class RunConfig:
                              f"choose from {KERNEL_CHOICES}")
         if self.dataset == "idx" and not self.idx_images:
             raise ValueError("dataset idx needs idx_images")
+        # r_g compares rows, so a batch and an evaluation need two of them
+        for key, least in (("steps", 1), ("batch", 2), ("seed", 0),
+                           ("latent_dim", 1), ("d_steps_per_g", 1),
+                           ("eval_interval", 1), ("eval_samples", 2)):
+            if getattr(self, key) < least:
+                raise ValueError(f"{key} must be >= {least}, "
+                                 f"got {getattr(self, key)}")
+        for key in ("lr_g", "lr_d"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, "
+                                 f"got {getattr(self, key)}")
+        for key in ("momentum_g", "momentum_d"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key} must be in [0, 1), "
+                                 f"got {getattr(self, key)}")
+        if self.g_out_activation not in ACTIVATIONS:
+            raise ValueError(f"unknown g_out_activation "
+                             f"{self.g_out_activation!r}; "
+                             f"choose from {ACTIVATIONS}")
+        if any(width < 1 for width in (*self.g_hidden, *self.d_hidden)):
+            raise ValueError("hidden layer widths must be >= 1")
+        # D's last hidden layer holds the representations r_g correlates
+        if not self.d_hidden or self.d_hidden[-1] < 2:
+            raise ValueError("d_hidden must end in a feature width >= 2, "
+                             f"got {self.d_hidden}")
+        self.loss_config()
 
     def loss_config(self) -> LossConfig:
         kernel = (None if self.kernel == "none"
@@ -74,69 +109,46 @@ class RunConfig:
         return LossConfig(alpha=self.alpha, beta=self.beta, delta=self.delta,
                           kernel=kernel)
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(steps=self.steps, batch_size=self.batch,
-                           latent_dim=self.latent_dim,
-                           g_hidden=self.g_hidden, d_hidden=self.d_hidden,
-                           g_out_activation=self.g_out_activation,
-                           lr_g=self.lr_g, lr_d=self.lr_d,
-                           momentum_g=self.momentum_g,
-                           momentum_d=self.momentum_d,
-                           d_steps_per_g=self.d_steps_per_g, seed=self.seed,
-                           loss=self.loss_config(),
-                           baseline_mode=self.baseline,
-                           eval_interval=self.eval_interval,
-                           eval_samples=self.eval_samples)
-
     def load_dataset(self) -> DatasetHandle:
         if self.dataset == "idx":
             return load_idx(self.idx_images, self.idx_labels)
         return make_dataset(self.dataset)
 
 
+# field name -> annotation, e.g. "int" or "float | None"
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
-_INTS = {"steps", "batch", "seed", "latent_dim", "d_steps_per_g",
-         "eval_interval", "eval_samples"}
-_FLOATS = {"alpha", "beta", "delta", "lr_g", "lr_d",
-           "momentum_g", "momentum_d"}
-_BOOLS = {"baseline"}
-_OPT_FLOATS = {"gamma"}
-_OPT_STRS = {"idx_images", "idx_labels", "out"}
-_TUPLES = {"g_hidden", "d_hidden"}
+_OPTIONAL = " | None"
 
 
 def _parse_value(key: str, raw: str):
-    if key in _BOOLS:
+    kind = _FIELDS[key]
+    if kind.endswith(_OPTIONAL):
+        if raw == "none":
+            return None
+        kind = kind.removesuffix(_OPTIONAL)
+    if kind == "bool":
         if raw not in ("true", "false"):
             raise ValueError(f"{key} must be true or false, got {raw!r}")
         return raw == "true"
-    if key in _INTS:
-        return int(raw)
-    if key in _FLOATS:
-        return float(raw)
-    if key in _OPT_FLOATS:
-        return None if raw == "none" else float(raw)
-    if key in _OPT_STRS:
-        return None if raw == "none" else raw
-    if key in _TUPLES:
+    if kind == "tuple":
         return tuple(int(part) for part in raw.split(",") if part.strip())
-    return raw
+    return {"int": int, "float": float, "str": str}[kind](raw)
 
 
 def _format_value(key: str, value) -> str:
-    if key in _BOOLS:
-        return "true" if value else "false"
+    kind = _FIELDS[key].removesuffix(_OPTIONAL)
     if value is None:
         return "none"
-    if key in _TUPLES:
+    if kind == "bool":
+        return "true" if value else "false"
+    if kind == "tuple":
         return ",".join(str(v) for v in value)
-    if key in _FLOATS or key in _OPT_FLOATS:
+    if kind == "float":
         return repr(float(value))
     return str(value)
 
 
-def parse_config_text(text: str, base: RunConfig | None = None,
-                      overrides: dict | None = None) -> RunConfig:
+def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
     """Build a RunConfig from file text, then apply overrides on top.
     Unknown keys and malformed lines raise ValueError."""
     values = {}
@@ -152,10 +164,6 @@ def parse_config_text(text: str, base: RunConfig | None = None,
         if key not in _FIELDS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, raw)
-    if base is not None:
-        merged = {f.name: getattr(base, f.name) for f in fields(RunConfig)}
-        merged.update(values)
-        values = merged
     if overrides:
         for key, value in overrides.items():
             if key not in _FIELDS:

@@ -69,7 +69,7 @@ class LossConfig:
     kernel: KernelSpec | None = None
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
+        if not (self.alpha >= 0 and self.beta >= 0):
             raise ValueError("alpha and beta must be non-negative")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
@@ -79,11 +79,12 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Per-step scalar record, the unit of history and of metrics.csv rows."""
+    """Per-step scalar record, the unit of history; its fields, in order,
+    are the first columns of metrics.csv."""
 
     step: int
-    l_g_final: float
-    l_d_final: float
+    loss_g: float
+    loss_d: float
     l_orig: float
     manifold_term: float
     radius_term: float

@@ -29,11 +29,13 @@ sequencing is observable (and patchable) from outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from mmgan.config import RunConfig
 from mmgan.data import DatasetHandle, sample_batch
+from mmgan.kernel import KernelSpec
 from mmgan.loss import (
     LossConfig,
     LossReport,
@@ -45,22 +47,13 @@ from mmgan.loss import (
     PROB_CLAMP,
 )
 from mmgan.manifold import ManifoldTracker, SphereManifold, estimate, tracker_update
-from mmgan.metrics import (
-    COVERAGE_DIVISOR,
-    HQ_SIGMA_MULTIPLIER,
-    MetricsRow,
-    manifold_gap,
-    mode_coverage,
-)
+from mmgan.metrics import MetricsRow, manifold_gap, mode_coverage
 from mmgan.neural import Layer, Network, NumericalError, SGD, gradients, parameter
 from mmgan.regularizer import r_g
 
 __all__ = [
-    "TrainConfig",
     "TrainResult",
-    "LatentSampler",
     "train",
-    "evaluate",
     "draw_eval_batch",
     "score_samples",
     "d_step",
@@ -77,53 +70,6 @@ G_AVERAGE_DECAY = 0.998
 
 
 @dataclass
-class TrainConfig:
-    """Everything one run needs besides the dataset itself."""
-
-    steps: int = 2000
-    batch_size: int = 64
-    latent_dim: int = 2
-    g_hidden: tuple = (64, 64)
-    d_hidden: tuple = (64, 16)
-    g_out_activation: str = "identity"
-    # G runs hot (momentum): its only signal is the matching objective,
-    # whose kernel terms are bounded by 2 and whose radius gap passes
-    # gradient through the (1-delta) mini-batch share of the blend alone.
-    # D runs plain. On ring8 rbf (20000 steps, seeds 0-4) lr_d 0.01 left
-    # two runs at high-quality fractions of 0.30 and 0.44, while a D that
-    # outpaces G (lr_d 0.03, or momentum 0.5) made one run lose most of the
-    # modes it had found; so did lr_g 0.07.
-    lr_g: float = 0.05
-    lr_d: float = 0.02
-    momentum_g: float = 0.9
-    momentum_d: float = 0.0
-    d_steps_per_g: int = 1
-    seed: int = 0
-    loss: LossConfig = field(default_factory=LossConfig)
-    baseline_mode: bool = False
-    eval_interval: int = 500
-    eval_samples: int = 800
-    hq_multiplier: float = HQ_SIGMA_MULTIPLIER
-    coverage_divisor: float = COVERAGE_DIVISOR
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
-        if self.batch_size < 2:
-            raise ValueError(f"batch_size must be >= 2, got {self.batch_size}")
-        if self.latent_dim < 1:
-            raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
-        if self.d_steps_per_g < 1:
-            raise ValueError(f"d_steps_per_g must be >= 1, got {self.d_steps_per_g}")
-        if self.eval_interval < 1 or self.eval_samples < 1:
-            raise ValueError("eval_interval and eval_samples must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.lr_g <= 0 or self.lr_d <= 0:
-            raise ValueError("learning rates must be positive")
-
-
-@dataclass
 class TrainResult:
     """generator is the parameter average (see the module docstring)."""
 
@@ -132,20 +78,6 @@ class TrainResult:
     history: list
     real_tracker: ManifoldTracker
     fake_tracker: ManifoldTracker
-
-
-class LatentSampler:
-    """Standard normal codes of a fixed dimension."""
-
-    def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError(f"latent dim must be >= 1, got {dim}")
-        self.dim = dim
-
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError(f"need n >= 1 codes, got {n}")
-        return rng.standard_normal((n, self.dim))
 
 
 def blended_stats(delta: float, prev: SphereManifold | None, feats, kernel_spec):
@@ -174,26 +106,28 @@ def d_step(g_net: Network, d_net: Network, opt_d: SGD,
     return loss_d, -loss_d, fake_pts
 
 
-def update_trackers(cfg: TrainConfig, d_net: Network,
+def update_trackers(spec: KernelSpec | None, d_net: Network,
                     x: np.ndarray, fake_pts: np.ndarray,
                     real_tracker: ManifoldTracker,
                     fake_tracker: ManifoldTracker) -> tuple:
     """Fold this batch's statistics, measured with the updated
-    discriminator, into both trackers. Returns the two feature batches."""
+    discriminator under the radius convention spec selects, into both
+    trackers. Returns the two feature batches."""
     feat_real = d_net.forward_values(x)[1]
     feat_fake = d_net.forward_values(fake_pts)[1]
-    spec = cfg.loss.kernel
     for tracker, feats in ((real_tracker, feat_real), (fake_tracker, feat_fake)):
         c = feats.mean(axis=0)
         tracker_update(tracker, SphereManifold(c, batch_radius(spec, feats, c)))
     return feat_real, feat_fake
 
 
-def g_step(cfg: TrainConfig, g_net: Network, d_net: Network, opt_g: SGD,
+def g_step(lc: LossConfig | None, g_net: Network, d_net: Network, opt_g: SGD,
            z: np.ndarray, feat_real: np.ndarray | None,
            pre_fake: SphereManifold | None,
            real_tracker: ManifoldTracker, fake_tracker: ManifoldTracker) -> tuple:
-    """One generator update through the (fixed) discriminator.
+    """One generator update through the (fixed) discriminator, on the
+    matching objective lc, or with lc None on the adversarial objective
+    alone (the baseline).
 
     Returns (loss_g, manifold_term, radius_term, r_g) as floats, r_g being
     the fake batch's rg_score in every mode. pre_fake is
@@ -201,7 +135,7 @@ def g_step(cfg: TrainConfig, g_net: Network, d_net: Network, opt_g: SGD,
     """
     fake_node, _ = g_net.forward(z)
     out_fake, feat_fake = d_net.forward(fake_node)
-    if cfg.baseline_mode:
+    if lc is None:
         # non-saturating objective: push D(G(z)) toward 1
         loss_node = -(out_fake.clamp(PROB_CLAMP, 1.0 - PROB_CLAMP).log().mean())
         opt_g.step(gradients(loss_node, g_net.parameters()))
@@ -213,7 +147,6 @@ def g_step(cfg: TrainConfig, g_net: Network, d_net: Network, opt_g: SGD,
         cg, rgap = manifold_gap(m_r, m_f)
         return loss_node.item(), cg, rgap, rg_score(fv)
 
-    lc = cfg.loss
     # real side: the tracker already folded this batch in, so its current
     # state IS the blend; enters as constants
     real = real_tracker.current
@@ -241,7 +174,7 @@ def _fold_average(avg: Network, net: Network, step: int) -> None:
         p.value += (1.0 - d) * current[name].value
 
 
-def train(cfg: TrainConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
+def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
     """Run the full loop. on_eval(step, generator, report) fires every
     eval_interval steps and on the final step, with the averaged generator.
 
@@ -253,7 +186,6 @@ def train(cfg: TrainConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
     rng_data = np.random.default_rng(ss_data)
     rng_latent = np.random.default_rng(ss_latent)
 
-    latent = LatentSampler(cfg.latent_dim)
     g_net = Network.create((cfg.latent_dim, *cfg.g_hidden, data.dim),
                            hidden_activation="relu",
                            out_activation=cfg.g_out_activation,
@@ -264,38 +196,38 @@ def train(cfg: TrainConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
                            rng=np.random.default_rng(ss_d))
     opt_g = SGD(g_net.parameters(), cfg.lr_g, cfg.momentum_g)
     opt_d = SGD(d_net.parameters(), cfg.lr_d, cfg.momentum_d)
-    real_tracker = ManifoldTracker(cfg.loss.delta)
-    fake_tracker = ManifoldTracker(cfg.loss.delta)
+    lc = None if cfg.baseline else cfg.loss_config()
+    real_tracker = ManifoldTracker(cfg.delta)
+    fake_tracker = ManifoldTracker(cfg.delta)
     g_avg = _copy_network(g_net)
 
     history: list = []
     for step in range(1, cfg.steps + 1):
         try:
             for _ in range(cfg.d_steps_per_g):
-                x = sample_batch(data, cfg.batch_size, rng_data)
-                z = latent.draw(rng_latent, cfg.batch_size)
+                x = sample_batch(data, cfg.batch, rng_data)
+                z = rng_latent.standard_normal((cfg.batch, cfg.latent_dim))
                 loss_d, l_orig_val, fake_pts = d_step(g_net, d_net, opt_d, x, z)
-            if cfg.baseline_mode:
+            if lc is None:
                 feat_real = d_net.forward_values(x)[1]
                 pre_fake = None
             else:
                 pre_fake = fake_tracker.current
                 feat_real, _ = update_trackers(
-                    cfg, d_net, x, fake_pts, real_tracker, fake_tracker)
+                    lc.kernel, d_net, x, fake_pts, real_tracker, fake_tracker)
             loss_g, m_term, r_term, rg_val = g_step(
-                cfg, g_net, d_net, opt_g, z, feat_real, pre_fake,
+                lc, g_net, d_net, opt_g, z, feat_real, pre_fake,
                 real_tracker, fake_tracker)
             _fold_average(g_avg, g_net, step)
         except NumericalError as e:
             raise NumericalError(f"{e} (step {step})") from e
 
-        report = LossReport(step=step, l_g_final=loss_g, l_d_final=loss_d,
+        report = LossReport(step=step, loss_g=loss_g, loss_d=loss_d,
                             l_orig=l_orig_val, manifold_term=m_term,
                             radius_term=r_term, r_g=rg_val)
-        for name in ("l_g_final", "l_d_final", "l_orig",
-                     "manifold_term", "radius_term", "r_g"):
-            if not np.isfinite(getattr(report, name)):
-                raise NumericalError(f"non-finite {name} (step {step})")
+        for f in fields(report):
+            if not np.isfinite(getattr(report, f.name)):
+                raise NumericalError(f"non-finite {f.name} (step {step})")
         history.append(report)
         if on_eval is not None and (step % cfg.eval_interval == 0
                                     or step == cfg.steps):
@@ -319,9 +251,7 @@ def draw_eval_batch(generator: Network, data: DatasetHandle, n_samples: int,
 
 
 def score_samples(fake: np.ndarray, real: np.ndarray, data: DatasetHandle, *,
-                  step: int = 0,
-                  hq_multiplier: float = HQ_SIGMA_MULTIPLIER,
-                  coverage_divisor: float = COVERAGE_DIVISOR) -> MetricsRow:
+                  step: int = 0) -> MetricsRow:
     """Score one generated batch against a real one.
 
     Mode metrics are zero for datasets without mode centers (images);
@@ -329,8 +259,7 @@ def score_samples(fake: np.ndarray, real: np.ndarray, data: DatasetHandle, *,
     """
     cg, rgap = manifold_gap(estimate(real), estimate(fake))
     if data.mode_centers is not None:
-        modes, hq = mode_coverage(fake, data.mode_centers, data.mode_sigma,
-                                  hq_multiplier, coverage_divisor)
+        modes, hq = mode_coverage(fake, data.mode_centers, data.mode_sigma)
         frac = modes / len(data.mode_centers)
     else:
         modes, hq, frac = 0, 0.0, 0.0
@@ -338,14 +267,3 @@ def score_samples(fake: np.ndarray, real: np.ndarray, data: DatasetHandle, *,
                       hq_fraction=hq, centroid_gap=cg, radius_gap=rgap,
                       r_g_value=r_g(fake))
 
-
-def evaluate(generator: Network, data: DatasetHandle, n_samples: int, *,
-             seed: int = 0, step: int = 0,
-             hq_multiplier: float = HQ_SIGMA_MULTIPLIER,
-             coverage_divisor: float = COVERAGE_DIVISOR) -> MetricsRow:
-    """Sample the generator and score it against the dataset."""
-    fake, real = draw_eval_batch(generator, data, n_samples,
-                                 seed=seed, step=step)
-    return score_samples(fake, real, data, step=step,
-                         hq_multiplier=hq_multiplier,
-                         coverage_divisor=coverage_divisor)

@@ -1,27 +1,47 @@
-"""The benchmark's trace hooks still find every attribute they wrap.
+"""The benchmark's hooks still fit the program they wrap.
 
 perfbench/tracer.py wraps module attributes by name from outside the
-program; a rename or deletion of one of them breaks only the traced
-benchmark run, so it is checked here with pass-through wrappers.
+program, and perfbench/run.py times `mmgan.cli.train` through its calling
+convention; a change to either breaks only the benchmark run, so both are
+checked here.
 """
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+from mmgan import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load(name, path, monkeypatch):
+    """Execute the file at path as module name, listed in sys.modules for
+    the test's duration (dataclasses look their module up there)."""
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
 
 
-def test_every_wrap_point_exists():
-    tracer = load_tracer()
+def test_every_wrap_point_exists(monkeypatch):
+    tracer = load("perfbench_tracer", PERFBENCH / "tracer.py", monkeypatch)
     points = [(module, attr) for _, module, attr in tracer.WRAP_POINTS]
     points.append(tracer.LOSS_EVAL_POINT)
     # raises WrapPointMissing for an attribute that is gone
     with tracer.patched((module, attr, lambda original: original)
                         for module, attr in points):
         pass
+
+
+def test_train_clock_times_a_cli_run(tmp_path, monkeypatch):
+    # run.py imports tracer.py as a top-level module
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    clock = load("perfbench_run", PERFBENCH / "run.py", monkeypatch).TrainClock()
+    monkeypatch.setattr(cli, "train", clock.make(cli.train))
+    assert cli.main(["train", "--steps", "4", "--eval-interval", "2",
+                     "--batch", "8", "--eval-samples", "16",
+                     "--out", str(tmp_path / "run")]) == 0
+    assert len(clock.records) == 1
+    assert clock.records[0]["steps"] == 4
+    assert clock.records[0]["eval_wall"] > 0

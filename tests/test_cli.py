@@ -1,13 +1,17 @@
 """End-to-end checks of the command line: artifacts, exit codes, reruns."""
 import csv
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmgan.cli import main
-from mmgan.config import parse_config_text
-from mmgan.trainer import evaluate
+from mmgan.config import KERNEL_CHOICES, parse_config_text
+from mmgan.neural import ACTIVATIONS
+from mmgan.trainer import draw_eval_batch, score_samples
 from mmgan.persist import load_network
 
 
@@ -127,6 +131,7 @@ def test_train_rejects_bad_flag_value(capsys):
 @pytest.mark.parametrize("flags", [
     ["--steps", "0"], ["--batch", "1"], ["--alpha", "-1"], ["--delta", "1.5"],
     ["--kernel", "rbf", "--gamma", "-1"], ["--eval-interval", "0"],
+    ["--eval-samples", "1"],
 ], ids=lambda f: " ".join(f))
 def test_train_rejects_bad_numeric_flag(tmp_path, capsys, flags):
     out = tmp_path / "run"
@@ -135,6 +140,34 @@ def test_train_rejects_bad_numeric_flag(tmp_path, capsys, flags):
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", [
+    "momentum_g = 1.0", "momentum_d = -0.5", "g_out_activation = foo",
+    "d_hidden = 64,1", "d_hidden =", "g_hidden = 0",
+])
+def test_train_rejects_bad_config_value(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "run"
+    assert main(["train", *FAST, "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_interrupted_retrain_leaves_no_finished_run(tmp_path, monkeypatch):
+    out = run_fast(tmp_path)
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("mmgan.cli.train", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", *FAST, "--steps", "90", "--out", str(out)])
+    assert not (out / "manifest.txt").exists()
+    assert not (out / "generator.bin").exists()
 
 
 def test_train_unwritable_out_dir(tmp_path, capsys):
@@ -171,8 +204,11 @@ def test_eval_matches_library_call(tmp_path, capsys):
                         "centroid_gap,radius_gap,r_g_value")
     cells = lines[1].split(",")
     cfg = parse_config_text((out / "manifest.txt").read_text())
-    row = evaluate(load_network(out / "generator.bin"), cfg.load_dataset(),
-                   cfg.eval_samples, seed=cfg.seed, step=cfg.steps)
+    data = cfg.load_dataset()
+    row = score_samples(*draw_eval_batch(load_network(out / "generator.bin"),
+                                         data, cfg.eval_samples, seed=cfg.seed,
+                                         step=cfg.steps),
+                        data, step=cfg.steps)
     assert cells[0] == str(row.step)
     assert cells[1] == str(row.modes_covered)
     assert cells[3] == repr(row.hq_fraction)
@@ -183,6 +219,9 @@ def test_eval_empty_sample_count(tmp_path, capsys):
     out = run_fast(tmp_path)
     assert main(["eval", "--out", str(out), "--samples", "0"]) == 1
     assert "empty evaluation" in capsys.readouterr().err
+    # r_g, one of the scores, compares at least two samples
+    assert main(["eval", "--out", str(out), "--samples", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_eval_missing_run(tmp_path, capsys):
@@ -238,3 +277,63 @@ def test_idx_training_smoke(tmp_path):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == 1
+
+
+_NAN, _INF = float("nan"), float("inf")
+_BAD_WEIGHT = st.sampled_from([-1.0, _NAN, _INF, -_INF])
+_BAD_RATE = st.sampled_from([0.0, -1.0, _NAN, _INF])
+_BAD_MOMENTUM = st.sampled_from([1.0, -0.5, _NAN, _INF])
+
+
+def _widths(least, min_size):
+    return st.lists(st.integers(least, 4), min_size=min_size, max_size=2).map(
+        lambda ws: ",".join(map(str, ws)))
+
+
+# key: (values kept small enough for a fast run, values a run cannot take)
+_FUZZ_KEYS = {
+    "steps": (st.integers(1, 3), st.integers(-3, 0)),
+    "batch": (st.integers(2, 8), st.integers(-3, 1)),
+    "seed": (st.integers(0, 3), st.integers(-3, -1)),
+    "latent_dim": (st.integers(1, 3), st.integers(-3, 0)),
+    "d_steps_per_g": (st.integers(1, 2), st.integers(-3, 0)),
+    "eval_interval": (st.integers(1, 3), st.integers(-3, 0)),
+    "eval_samples": (st.integers(2, 16), st.integers(-3, 1)),
+    "alpha": (st.floats(0, 2), _BAD_WEIGHT),
+    "beta": (st.floats(0, 2), _BAD_WEIGHT),
+    "delta": (st.floats(0, 0.99), st.sampled_from([1.0, 1.5, -0.1, _NAN])),
+    "gamma": (st.floats(0.1, 2), _BAD_RATE),
+    "lr_g": (st.floats(1e-3, 0.1), _BAD_RATE),
+    "lr_d": (st.floats(1e-3, 0.1), _BAD_RATE),
+    "momentum_g": (st.floats(0, 0.95), _BAD_MOMENTUM),
+    "momentum_d": (st.floats(0, 0.95), _BAD_MOMENTUM),
+    "g_hidden": (_widths(1, 0), st.just("0")),
+    "d_hidden": (_widths(2, 1), st.sampled_from(["", "4,1"])),
+    "g_out_activation": (st.sampled_from(ACTIVATIONS), st.just("foo")),
+}
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_train_fuzz_over_config_space(data):
+    bad = data.draw(st.sets(st.sampled_from(sorted(_FUZZ_KEYS)), max_size=1))
+    lines = [
+        f"dataset = {data.draw(st.sampled_from(['ring8', 'grid25', 'rings2']))}",
+        f"kernel = {data.draw(st.sampled_from(KERNEL_CHOICES))}",
+        f"baseline = {data.draw(st.sampled_from(['true', 'false']))}",
+    ]
+    for key, (good_values, bad_values) in _FUZZ_KEYS.items():
+        value = data.draw(bad_values if key in bad else good_values)
+        lines.append(f"{key} = {value}")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        out = os.path.join(tmp, "run")
+        code = main(["train", "--config", cfg, "--out", out])
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert not os.path.exists(out)
+        finished = all(os.path.exists(os.path.join(out, name))
+                       for name in ("manifest.txt", "generator.bin"))
+        assert code == 0 or not finished

@@ -42,12 +42,6 @@ def test_overrides_win_over_file():
     assert cfg.steps == 9 and cfg.seed == 1
 
 
-def test_base_fills_unlisted_keys():
-    base = RunConfig(steps=123, seed=4)
-    cfg = parse_config_text("seed = 8\n", base=base)
-    assert cfg.steps == 123 and cfg.seed == 8
-
-
 def test_bool_parsing_is_strict():
     assert parse_config_text("baseline = true\n").baseline is True
     with pytest.raises(ValueError, match="true or false"):
@@ -70,13 +64,6 @@ def test_loss_config_mapping():
     assert RunConfig(kernel="none").loss_config().kernel is None
     # the poly alias reaches KernelSpec's canonical name
     assert RunConfig(kernel="poly").loss_config().kernel.kind == "polynomial"
-
-
-def test_train_config_mapping():
-    tc = RunConfig(steps=50, batch=16, seed=2, lr_g=0.3,
-                   baseline=True).train_config()
-    assert tc.steps == 50 and tc.batch_size == 16 and tc.seed == 2
-    assert tc.lr_g == 0.3 and tc.baseline_mode is True
 
 
 def test_artifact_lines():

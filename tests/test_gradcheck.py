@@ -2,8 +2,9 @@ import time
 
 import pytest
 
-from mmgan.gradcheck import (TOLERANCE, check_variant, run_suite,
-                             variant_names)
+from mmgan.gradcheck import (TOLERANCE, _build, _config, check_variant,
+                             run_suite, variant_names)
+from mmgan.loss import generator_terms
 
 
 def test_variant_grid():
@@ -46,3 +47,15 @@ def test_beta_zero_matches_base():
     base = check_variant("rbf", beta=0.0)
     tagged = check_variant("rbf+rg", beta=0.0)
     assert base == tagged
+
+
+@pytest.mark.parametrize("name", [n for n in variant_names() if n.endswith("+rg")])
+def test_rg_variants_check_an_active_penalty(name):
+    # a zero hinge has no gradient, which would leave the +rg row checking
+    # nothing beyond its base row
+    g_net, d_net, z, x = _build(0)
+    fake = g_net.forward_values(z)[0]
+    terms = generator_terms(_config(name, 1.0, 1.0, None),
+                            d_net.forward_values(x)[1],
+                            d_net.forward_values(fake)[1])
+    assert terms.rg > 0

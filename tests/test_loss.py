@@ -207,7 +207,7 @@ def test_loss_config_validation():
 
 
 def test_loss_report_is_frozen_record():
-    rep = LossReport(step=3, l_g_final=1.0, l_d_final=-1.0, l_orig=-0.5,
+    rep = LossReport(step=3, loss_g=1.0, loss_d=-1.0, l_orig=-0.5,
                      manifold_term=0.4, radius_term=0.3, r_g=0.3)
     with pytest.raises(AttributeError):
         rep.step = 4

@@ -2,30 +2,30 @@ import numpy as np
 import pytest
 
 import mmgan.trainer as trainer_mod
+from mmgan.config import RunConfig
 from mmgan.data import DatasetHandle, make_dataset
 from mmgan.kernel import KernelSpec
-from mmgan.loss import LossConfig, batch_radius
+from mmgan.loss import batch_radius
 from mmgan.manifold import ManifoldTracker, SphereManifold
 from mmgan.neural import Network, NumericalError, SGD
 from mmgan.trainer import (
-    LatentSampler,
-    TrainConfig,
     TrainResult,
     blended_stats,
     d_step,
-    evaluate,
+    draw_eval_batch,
     g_step,
+    score_samples,
     train,
     update_trackers,
 )
 
 
 def tiny_cfg(**kw):
-    base = dict(steps=5, batch_size=8, latent_dim=2, g_hidden=(8,),
+    base = dict(steps=5, batch=8, latent_dim=2, g_hidden=(8,),
                 d_hidden=(8,), lr_g=0.02, lr_d=0.02, eval_interval=2,
                 eval_samples=50)
     base.update(kw)
-    return TrainConfig(**base)
+    return RunConfig(**base)
 
 
 def single_mode_dataset():
@@ -33,7 +33,7 @@ def single_mode_dataset():
 
 
 def history_tuples(result):
-    return [(r.step, r.l_g_final, r.l_d_final, r.l_orig, r.manifold_term,
+    return [(r.step, r.loss_g, r.loss_d, r.l_orig, r.manifold_term,
              r.radius_term, r.r_g) for r in result.history]
 
 
@@ -102,17 +102,16 @@ def test_tracker_states_follow_recorded_minis(monkeypatch):
     minis = {"real": [], "fake": []}
     orig = update_trackers
 
-    def spy(cfg, d_net, x, fake_pts, real_tracker, fake_tracker):
-        spec = cfg.loss.kernel
+    def spy(spec, d_net, x, fake_pts, real_tracker, fake_tracker):
         for name, batch in (("real", x), ("fake", fake_pts)):
             feats = d_net.forward_values(batch)[1]
             c = feats.mean(axis=0)
             minis[name].append((c, float(batch_radius(spec, feats, c))))
-        return orig(cfg, d_net, x, fake_pts, real_tracker, fake_tracker)
+        return orig(spec, d_net, x, fake_pts, real_tracker, fake_tracker)
 
     monkeypatch.setattr(trainer_mod, "update_trackers", spy)
     delta = 0.9
-    res = train(tiny_cfg(steps=4, loss=LossConfig(delta=delta)),
+    res = train(tiny_cfg(steps=4, delta=delta),
                 make_dataset("ring8"))
     for name, tracker in (("real", res.real_tracker), ("fake", res.fake_tracker)):
         c, r = minis[name][0]
@@ -127,34 +126,34 @@ def test_delta_zero_tracker_equals_last_mini(monkeypatch):
     minis = []
     orig = update_trackers
 
-    def spy(cfg, d_net, x, fake_pts, real_tracker, fake_tracker):
+    def spy(spec, d_net, x, fake_pts, real_tracker, fake_tracker):
         feats = d_net.forward_values(x)[1]
         c = feats.mean(axis=0)
         minis.append((c, float(batch_radius(None, feats, c))))
-        return orig(cfg, d_net, x, fake_pts, real_tracker, fake_tracker)
+        return orig(spec, d_net, x, fake_pts, real_tracker, fake_tracker)
 
     monkeypatch.setattr(trainer_mod, "update_trackers", spy)
-    res = train(tiny_cfg(steps=3, loss=LossConfig(delta=0.0)),
+    res = train(tiny_cfg(steps=3, delta=0.0),
                 make_dataset("ring8"))
     np.testing.assert_allclose(res.real_tracker.current.centroid, minis[-1][0],
                                rtol=1e-12)
     assert res.real_tracker.current.radius == pytest.approx(minis[-1][1], rel=1e-12)
 
 
-@pytest.mark.parametrize("loss_cfg", [
-    LossConfig(delta=0.9),
-    LossConfig(delta=0.9, kernel=KernelSpec("rbf", gamma=0.5)),
+@pytest.mark.parametrize("loss_keys", [
+    dict(delta=0.9),
+    dict(delta=0.9, kernel="rbf", gamma=0.5),
 ], ids=["plain", "rbf"])
-def test_g_step_blend_value_coincides_with_tracker(monkeypatch, loss_cfg):
+def test_g_step_blend_value_coincides_with_tracker(monkeypatch, loss_keys):
     seen = []
     orig = g_step
 
-    def spy(cfg, g_net, d_net, opt_g, z, feat_real, pre_fake, rt, ft):
+    def spy(lc, g_net, d_net, opt_g, z, feat_real, pre_fake, rt, ft):
         # recompute the blended fake statistic before the update mutates G
         feats = d_net.forward_values(g_net.forward_values(z)[0])[1]
         c_mini = feats.mean(axis=0)
-        r_mini = float(batch_radius(cfg.loss.kernel, feats, c_mini))
-        d = cfg.loss.delta
+        r_mini = float(batch_radius(lc.kernel, feats, c_mini))
+        d = lc.delta
         if pre_fake is None:
             blend_c, blend_r = c_mini, r_mini
         else:
@@ -162,10 +161,10 @@ def test_g_step_blend_value_coincides_with_tracker(monkeypatch, loss_cfg):
             blend_r = d * pre_fake.radius + (1 - d) * r_mini
         seen.append((blend_c, blend_r, ft.current.centroid.copy(),
                      ft.current.radius))
-        return orig(cfg, g_net, d_net, opt_g, z, feat_real, pre_fake, rt, ft)
+        return orig(lc, g_net, d_net, opt_g, z, feat_real, pre_fake, rt, ft)
 
     monkeypatch.setattr(trainer_mod, "g_step", spy)
-    train(tiny_cfg(steps=4, loss=loss_cfg), make_dataset("ring8"))
+    train(tiny_cfg(steps=4, **loss_keys), make_dataset("ring8"))
     assert len(seen) == 4
     for blend_c, blend_r, track_c, track_r in seen:
         np.testing.assert_allclose(blend_c, track_c, rtol=1e-10, atol=1e-12)
@@ -176,11 +175,11 @@ def test_baseline_mode_skips_manifold_machinery(monkeypatch):
     called = []
     monkeypatch.setattr(trainer_mod, "update_trackers",
                         lambda *a, **k: called.append(1))
-    res = train(tiny_cfg(steps=4, baseline_mode=True), make_dataset("ring8"))
+    res = train(tiny_cfg(steps=4, baseline=True), make_dataset("ring8"))
     assert called == []
     assert res.real_tracker.current is None
     assert len(res.history) == 4
-    assert all(np.isfinite(r.l_g_final) for r in res.history)
+    assert all(np.isfinite(r.loss_g) for r in res.history)
 
 
 def test_numerical_error_carries_step_index(monkeypatch):
@@ -246,21 +245,20 @@ def test_g_step_touches_only_generator():
     x, z = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
     rt, ft = ManifoldTracker(0.9), ManifoldTracker(0.9)
     fake_pts = g.forward_values(z)[0]
-    feat_real, _ = update_trackers(cfg, d, x, fake_pts, rt, ft)
+    feat_real, _ = update_trackers(None, d, x, fake_pts, rt, ft)
     gs, ds = snapshot(g), snapshot(d)
-    out = g_step(cfg, g, d, opt_g, z, feat_real, None, rt, ft)
+    out = g_step(cfg.loss_config(), g, d, opt_g, z, feat_real, None, rt, ft)
     assert changed(g, gs) and not changed(d, ds)
     assert all(np.isfinite(v) for v in out)
 
 
 def test_update_trackers_initializes_both():
-    cfg = tiny_cfg()
     g, d = make_pair()
     rng = np.random.default_rng(3)
     x = rng.normal(size=(8, 2))
     fake_pts = g.forward_values(rng.normal(size=(8, 2)))[0]
     rt, ft = ManifoldTracker(0.9), ManifoldTracker(0.9)
-    feat_real, feat_fake = update_trackers(cfg, d, x, fake_pts, rt, ft)
+    feat_real, feat_fake = update_trackers(None, d, x, fake_pts, rt, ft)
     assert rt.current is not None and ft.current is not None
     assert feat_real.shape == (8, 8) and feat_fake.shape == (8, 8)
     np.testing.assert_allclose(rt.current.centroid, feat_real.mean(axis=0))
@@ -288,31 +286,25 @@ def test_blended_stats_hand_case():
 
 def test_training_fits_a_single_gaussian():
     data = single_mode_dataset()
-    cfg = tiny_cfg(steps=400, batch_size=32, g_hidden=(16, 16),
+    cfg = tiny_cfg(steps=400, batch=32, g_hidden=(16, 16),
                    d_hidden=(16, 16), lr_g=0.05, lr_d=0.05, seed=5)
     res = train(cfg, data)
-    row = evaluate(res.generator, data, 400, seed=5)
+    row = score_samples(*draw_eval_batch(res.generator, data, 400, seed=5),
+                        data)
     assert row.centroid_gap < 0.25
     assert row.radius_gap < 0.5
 
 
-def test_latent_sampler():
-    ls = LatentSampler(3)
-    a = ls.draw(np.random.default_rng(0), 5)
-    b = ls.draw(np.random.default_rng(0), 5)
-    assert a.shape == (5, 3)
-    np.testing.assert_array_equal(a, b)
-    with pytest.raises(ValueError):
-        LatentSampler(0)
-    with pytest.raises(ValueError):
-        ls.draw(np.random.default_rng(0), 0)
-
-
 def test_train_config_validation():
-    for kw in (dict(steps=0), dict(batch_size=1), dict(latent_dim=0),
+    for kw in (dict(steps=0), dict(batch=1), dict(latent_dim=0),
                dict(d_steps_per_g=0), dict(eval_interval=0),
-               dict(eval_samples=0), dict(seed=-1), dict(lr_g=0.0),
-               dict(lr_d=-1.0)):
+               dict(eval_samples=1), dict(seed=-1), dict(lr_g=0.0),
+               dict(lr_d=-1.0), dict(lr_g=float("nan")),
+               dict(momentum_g=1.0), dict(momentum_d=-0.5),
+               dict(g_out_activation="foo"), dict(g_hidden=(0,)),
+               dict(d_hidden=(8, 1)), dict(d_hidden=()),
+               dict(alpha=float("nan")), dict(delta=1.0),
+               dict(kernel="rbf", gamma=0.0)):
         with pytest.raises(ValueError):
             tiny_cfg(**kw)
 
@@ -320,13 +312,13 @@ def test_train_config_validation():
 def test_evaluate_deterministic_and_validates():
     g, _ = make_pair()
     data = make_dataset("ring8")
-    a = evaluate(g, data, 200, seed=7, step=3)
-    b = evaluate(g, data, 200, seed=7, step=3)
+    a = score_samples(*draw_eval_batch(g, data, 200, seed=7, step=3), data)
+    b = score_samples(*draw_eval_batch(g, data, 200, seed=7, step=3), data)
     assert a == b
-    c = evaluate(g, data, 200, seed=7, step=4)
+    c = score_samples(*draw_eval_batch(g, data, 200, seed=7, step=4), data)
     assert a != c
     with pytest.raises(ValueError, match="empty evaluation"):
-        evaluate(g, data, 0)
+        draw_eval_batch(g, data, 0)
 
 
 def test_evaluate_without_mode_centers_zeroes_mode_metrics():
@@ -334,7 +326,7 @@ def test_evaluate_without_mode_centers_zeroes_mode_metrics():
                        rng=np.random.default_rng(0))
     images = np.zeros((10, 4))
     handle = DatasetHandle("idx", 4, None, 0.0, images=images)
-    row = evaluate(g, handle, 50)
+    row = score_samples(*draw_eval_batch(g, handle, 50), handle)
     assert row.modes_covered == 0
     assert row.coverage_fraction == 0.0 and row.hq_fraction == 0.0
     assert np.isfinite(row.centroid_gap) and np.isfinite(row.radius_gap)
