@@ -7,10 +7,10 @@ training, 4 gradient check failure.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import dataclasses
 import os
+import re
 import sys
 
 import numpy as np
@@ -42,6 +42,8 @@ EXIT_GRADCHECK = 4
 METRICS_FILE = "metrics.csv"
 MANIFEST_FILE = "manifest.txt"
 PARAMS_FILE = "generator.bin"
+# what _write_samples and _write_scatter name
+_EVAL_ARTIFACT = re.compile(r"samples_\d+\.csv|scatter_\d+\.svg")
 
 
 class _CliError(Exception):
@@ -161,9 +163,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         os.makedirs(out_dir, exist_ok=True)
         # The manifest marks a finished run; until this run writes its own,
-        # no earlier run's manifest or parameters may sit beside its metrics.
-        for name in (MANIFEST_FILE, PARAMS_FILE):
-            with contextlib.suppress(FileNotFoundError):
+        # no earlier run's manifest, parameters or eval artifacts may sit
+        # beside its metrics.
+        for name in os.listdir(out_dir):
+            if (name in (MANIFEST_FILE, PARAMS_FILE)
+                    or _EVAL_ARTIFACT.fullmatch(name)):
                 os.remove(os.path.join(out_dir, name))
         metrics_f = open(os.path.join(out_dir, METRICS_FILE), "w",
                          newline="", encoding="utf-8")
@@ -198,7 +202,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         os.replace(params + ".tmp", params)
         artifacts.append(PARAMS_FILE)
         _write_manifest(out_dir, cfg, artifacts)
-    except NumericalError as e:
+    except (NumericalError, ValueError) as e:
+        # a ValueError mid-run is numerical too, e.g. the kernel trick's
+        # PSD guard; config errors were all caught before the run began
         print(f"numerical abort: {e}", file=sys.stderr)
         try:
             _write_manifest(out_dir, cfg, artifacts)

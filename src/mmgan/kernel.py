@@ -178,28 +178,32 @@ def _psd_checked(v, scale: float):
 
 
 @accepts_arrays
-def feature_sq_dist(spec: KernelSpec, a, b):
+def feature_sq_dist(spec: KernelSpec, a, b, gram_a=None):
     """||mu_a - mu_b||^2 between the feature-space centroids of a and b.
     Non-negative.
 
     Each argument is a d-vector, whose centroid is phi of itself, or an
     (n, d) batch, whose centroid is its mean embedding; between two
-    batches this is the (biased) squared maximum mean discrepancy. Raises
+    batches this is the (biased) squared maximum mean discrepancy. gram_a,
+    if given, is the already built mean_gram(spec, a, a). Raises
     ValueError if roundoff alone cannot explain a negative value, since
     that means the kernel is not positive semidefinite here.
     """
     if a.value.ndim not in (1, 2) or b.value.ndim not in (1, 2):
         raise ValueError("kernel inputs must be d-vectors or (n, d) batches")
     a, b = _batch(a), _batch(b)
-    kaa, kbb = mean_gram(spec, a, a), mean_gram(spec, b, b)
+    kaa = mean_gram(spec, a, a) if gram_a is None else gram_a
+    kbb = mean_gram(spec, b, b)
     v = kaa - 2.0 * mean_gram(spec, a, b) + kbb
     return _psd_checked(v, float(kaa.value) + float(kbb.value))
 
 
 @accepts_arrays
-def kernel_radius(spec: KernelSpec, points):
+def kernel_radius(spec: KernelSpec, points, gram=None):
     """Mean squared feature-space distance from the mapped points to their
     own centroid, the mean embedding mu: mean_i K(s_i, s_i) - <mu, mu>.
+    gram, if given, is the already built <mu, mu> = mean_gram(spec,
+    points, points).
 
     Note the squaring: the plain-space radius is a mean of distances, the
     kernelized one is a mean of squared distances. The two conventions are
@@ -209,4 +213,6 @@ def kernel_radius(spec: KernelSpec, points):
     if vp.ndim != 2 or vp.shape[0] < 1:
         raise ValueError(f"expected non-empty (n, d) points, got {vp.shape}")
     diag = kernel_self_batch(spec, points).mean()
-    return _psd_checked(diag - mean_gram(spec, points, points), float(diag.value))
+    if gram is None:
+        gram = mean_gram(spec, points, points)
+    return _psd_checked(diag - gram, float(diag.value))

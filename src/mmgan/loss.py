@@ -94,11 +94,13 @@ class LossReport:
 @dataclass
 class GeneratorTerms:
     """Decomposed generator objective. Fields are Tensors (floats for array
-    inputs); rg is rg_penalty, None when beta is 0."""
+    inputs); rg is rg_penalty and rg_fake the fake batch's rg_score it
+    charges, both None when beta is 0."""
 
     manifold: object
     radius: object
     rg: object
+    rg_fake: object
     total: object
 
 
@@ -130,14 +132,15 @@ def batch_centroid(reps):
 
 
 @accepts_arrays
-def batch_radius(spec: KernelSpec | None, reps, c):
+def batch_radius(spec: KernelSpec | None, reps, c, gram=None):
     """Radius of a batch under the convention spec selects: mean distance
     to c when spec is None; else mean squared feature distance to the
-    batch's own mean embedding, which c (an input-space point) is not."""
+    batch's own mean embedding, which c (an input-space point) is not.
+    gram, if given, is the batch's already built mean Gram."""
     if spec is None:
         diff = reps - c
         return (diff * diff).sum(axis=1).sqrt().mean()
-    return kernel_radius(spec, reps)
+    return kernel_radius(spec, reps, gram)
 
 
 @accepts_arrays
@@ -148,10 +151,10 @@ def rg_score(reps):
     return r_g(reps) * (1.0 / np.sqrt(n * n - n))
 
 
-def rg_penalty(reps_real, reps_fake):
+def rg_penalty(score_real, score_fake):
     """Excess correlation of the fake batch over the real one,
-    max(0, rg_score(fake) - rg_score(real)), in [0, 1]. The real side
-    enters as a constant.
+    max(0, score_fake - score_real), in [0, 1], from the two batches'
+    rg_score. The real score enters as a constant.
 
     Real batches are correlated themselves (rows from one mode nearly
     coincide), so rg_score(fake) alone stays far from 0 at the data
@@ -160,18 +163,19 @@ def rg_penalty(reps_real, reps_fake):
     and real agree and acts when fakes are more alike than data are, which
     is mode collapse.
     """
-    excess = rg_score(reps_fake) - rg_score(reps_real.value)
-    return excess.clamp_min(0.0)
+    return (score_fake - score_real).clamp_min(0.0)
 
 
 @accepts_arrays
 def generator_terms(cfg: LossConfig, reps_real, reps_fake, *,
                     c_real=None, c_fake=None,
-                    radius_real=None, radius_fake=None) -> GeneratorTerms:
+                    radius_real=None, radius_fake=None,
+                    gram_real=None) -> GeneratorTerms:
     """Build the decomposed generator objective.
 
     Statistics left as None default to the mini-batch values of the
-    matching convention; the trainer passes moving-average blends instead.
+    matching convention; the trainer passes moving-average blends instead,
+    and the real batch's mean Gram gram_real it has already built.
     The centroids c_real and c_fake are input-space points and shape the
     plain loss only; the kernelized centroid gap always compares the two
     batches' mean embeddings.
@@ -181,22 +185,24 @@ def generator_terms(cfg: LossConfig, reps_real, reps_fake, *,
     if cfg.kernel is None and c_fake is None:
         c_fake = batch_centroid(reps_fake)
     if radius_real is None:
-        radius_real = batch_radius(cfg.kernel, reps_real, c_real)
+        radius_real = batch_radius(cfg.kernel, reps_real, c_real, gram_real)
     if radius_fake is None:
         radius_fake = batch_radius(cfg.kernel, reps_fake, c_fake)
     if cfg.kernel is None:
         diff = c_real - c_fake
         manifold = (diff * diff).sum().sqrt()
     else:
-        manifold = feature_sq_dist(cfg.kernel, reps_real, reps_fake)
+        manifold = feature_sq_dist(cfg.kernel, reps_real, reps_fake, gram_real)
     radius = (radius_real - radius_fake).abs()
     # alpha belongs to the kernelized radius gap only; the plain-space form
     # is an unweighted sum
     radius_weight = cfg.alpha if cfg.kernel is not None else 1.0
     total = manifold + radius_weight * radius
-    rg = None
+    rg = rg_fake = None
     if cfg.beta > 0.0:
-        rg = rg_penalty(reps_real, reps_fake)
+        rg_fake = rg_score(reps_fake)
+        rg = rg_penalty(rg_score(reps_real.value), rg_fake)
         total = total + cfg.beta * rg
-    return GeneratorTerms(manifold=manifold, radius=radius, rg=rg, total=total)
+    return GeneratorTerms(manifold=manifold, radius=radius, rg=rg,
+                          rg_fake=rg_fake, total=total)
 

@@ -78,8 +78,10 @@ def node(value, parents, vjp):
     """
     # Recipe is dropped when no parent needs gradients, or inside no_grad;
     # constant subgraphs then cost nothing at backward time.
-    if _recording and any(p.requires_grad for p in parents):
-        return Tensor(value, requires_grad=True, parents=parents, vjp=vjp)
+    if _recording:
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(value, requires_grad=True, parents=parents, vjp=vjp)
     return Tensor(value)
 
 

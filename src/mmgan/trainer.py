@@ -2,16 +2,24 @@
 
 Each step runs, in this exact order:
   1. one or more discriminator updates on fresh batches (classification
-     loss only, in every mode),
-  2. re-extraction of both feature batches with the freshly updated
-     discriminator, folded into the real/fake moving-average trackers,
-  3. one generator update using the post-update real statistics and a
-     differentiable blend of the pre-update fake tracker with the current
-     mini-batch statistic.
+     loss only, in every mode), each building G's graph on its latent
+     batch once and training D on that graph's value,
+  2. one pass of the freshly updated discriminator over the last batches:
+     the real one as values, the fake one as a graph on G's node,
+  3. the tracker refresh (matching objective only): both batches'
+     statistics are folded into the real/fake moving-average trackers, the
+     fake ones read off the graph of step 2,
+  4. one generator update through the graph of step 2, using the
+     post-update real statistics and a differentiable blend of the
+     pre-update fake tracker with the current mini-batch statistic.
+
+Each value is computed once per step and shared: G's forward, D's pass
+over the fakes, the real batch's mean Gram (the real radius and the MMD^2
+both read it) and the fake batch's rg_score (the penalty and the report).
 
 The blend delta * stop_grad(tracked) + (1 - delta) * mini keeps gradients
 flowing through the mini-batch term only; its value coincides with the
-tracker state after step 2, which tests assert. A tracker that has not seen
+tracker state after step 3, which tests assert. A tracker that has not seen
 any batch yet contributes nothing: the raw mini-batch statistic is used.
 
 After each generator update its parameters are folded into an exponential
@@ -35,7 +43,7 @@ import numpy as np
 
 from mmgan.config import RunConfig
 from mmgan.data import DatasetHandle, sample_batch
-from mmgan.kernel import KernelSpec
+from mmgan.kernel import KernelSpec, mean_gram
 from mmgan.loss import (
     LossConfig,
     LossReport,
@@ -48,7 +56,16 @@ from mmgan.loss import (
 )
 from mmgan.manifold import ManifoldTracker, SphereManifold, estimate, tracker_update
 from mmgan.metrics import MetricsRow, manifold_gap, mode_coverage
-from mmgan.neural import Layer, Network, NumericalError, SGD, gradients, parameter
+from mmgan.neural import (
+    Layer,
+    Network,
+    NumericalError,
+    SGD,
+    Tensor,
+    constant,
+    gradients,
+    parameter,
+)
 from mmgan.regularizer import r_g
 
 __all__ = [
@@ -60,6 +77,7 @@ __all__ = [
     "g_step",
     "update_trackers",
     "blended_stats",
+    "MatchStats",
 ]
 
 _EVAL_STREAM_TAG = 59297
@@ -80,12 +98,10 @@ class TrainResult:
     fake_tracker: ManifoldTracker
 
 
-def blended_stats(delta: float, prev: SphereManifold | None, feats, kernel_spec):
-    """Differentiable (centroid, radius) mixing the tracker state prev, if
-    any, into the mini-batch nodes; gradients flow only through the latter.
-    The kernelized loss reads no centroid, so with a kernel it is None."""
-    c = batch_centroid(feats) if kernel_spec is None else None
-    r = batch_radius(kernel_spec, feats, c)
+def blended_stats(delta: float, prev: SphereManifold | None, c, r):
+    """Mix the tracker state prev, if any, into the differentiable
+    mini-batch centroid c (None with a kernel, whose loss reads no
+    centroid) and radius r; gradients flow only through the latter."""
     if prev is not None and delta != 0.0:
         r = delta * prev.radius + (1.0 - delta) * r
         if c is not None:
@@ -93,71 +109,96 @@ def blended_stats(delta: float, prev: SphereManifold | None, feats, kernel_spec)
     return c, r
 
 
+@dataclass
+class MatchStats:
+    """What the generator step reads of one tracker refresh: the real
+    tracker's state, whose values enter as constants; the real batch's
+    mean Gram K_rr (None in plain space), which the MMD^2 reuses; and the
+    blended fake (centroid, radius) nodes (centroid None with a kernel)."""
+
+    real: SphereManifold
+    gram_real: Tensor | None
+    c_fake: Tensor | None
+    r_fake: Tensor
+
+
 def d_step(g_net: Network, d_net: Network, opt_d: SGD,
            x: np.ndarray, z: np.ndarray) -> tuple:
     """One discriminator update on the classification loss, the same in
-    every mode. Returns (loss_d, l_orig, fake_points)."""
-    fake_pts = g_net.forward_values(z)[0]
+    every mode. Returns (loss_d, l_orig, fake), fake being G's graph node
+    on z: D trains on its value alone, so D's backward never walks G, and
+    g_step differentiates the same node, since G does not change in
+    between."""
+    fake, _ = g_net.forward(z)
     out_real, _ = d_net.forward(x)
-    out_fake, _ = d_net.forward(fake_pts)
+    out_fake, _ = d_net.forward(fake.value)
     loss_node = l_d_final(out_real, out_fake)
     opt_d.step(gradients(loss_node, d_net.parameters()))
     loss_d = loss_node.item()
-    return loss_d, -loss_d, fake_pts
+    return loss_d, -loss_d, fake
 
 
-def update_trackers(spec: KernelSpec | None, d_net: Network,
-                    x: np.ndarray, fake_pts: np.ndarray,
-                    real_tracker: ManifoldTracker,
-                    fake_tracker: ManifoldTracker) -> tuple:
+def update_trackers(spec: KernelSpec | None, feat_real: np.ndarray,
+                    feat_fake: Tensor, real_tracker: ManifoldTracker,
+                    fake_tracker: ManifoldTracker) -> MatchStats:
     """Fold this batch's statistics, measured with the updated
     discriminator under the radius convention spec selects, into both
-    trackers. Returns the two feature batches."""
-    feat_real = d_net.forward_values(x)[1]
-    feat_fake = d_net.forward_values(fake_pts)[1]
-    for tracker, feats in ((real_tracker, feat_real), (fake_tracker, feat_fake)):
-        c = feats.mean(axis=0)
-        tracker_update(tracker, SphereManifold(c, batch_radius(spec, feats, c)))
-    return feat_real, feat_fake
+    trackers, and return what g_step reads of them.
+
+    feat_real holds the real features as values, feat_fake the fake ones
+    as the graph node g_step differentiates. With a kernel the fake
+    tracker folds in the value of the mini-batch radius node the blend is
+    built on. The plain radius is measured about the numpy centroid the
+    tracker keeps, which can differ from the centroid node in the last
+    bit, so it is measured again on the values.
+    """
+    real = constant(feat_real)
+    c = feat_real.mean(axis=0)
+    gram_real = None if spec is None else mean_gram(spec, real, real)
+    tracker_update(real_tracker, SphereManifold(
+        c, batch_radius(spec, real, c, gram_real).item()))
+
+    pre_fake = fake_tracker.current
+    c_mini = batch_centroid(feat_fake) if spec is None else None
+    r_mini = batch_radius(spec, feat_fake, c_mini)
+    fv = feat_fake.value
+    c = fv.mean(axis=0)
+    r = batch_radius(None, fv, c) if spec is None else r_mini.item()
+    tracker_update(fake_tracker, SphereManifold(c, r))
+    c_fake, r_fake = blended_stats(fake_tracker.delta, pre_fake, c_mini, r_mini)
+    return MatchStats(real_tracker.current, gram_real, c_fake, r_fake)
 
 
-def g_step(lc: LossConfig | None, g_net: Network, d_net: Network, opt_g: SGD,
-           z: np.ndarray, feat_real: np.ndarray | None,
-           pre_fake: SphereManifold | None,
-           real_tracker: ManifoldTracker, fake_tracker: ManifoldTracker) -> tuple:
-    """One generator update through the (fixed) discriminator, on the
-    matching objective lc, or with lc None on the adversarial objective
-    alone (the baseline).
+def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: np.ndarray,
+           out_fake: Tensor, feat_fake: Tensor,
+           stats: MatchStats | None) -> tuple:
+    """One generator update through the (fixed) discriminator's graph on
+    this step's fake node (out_fake, feat_fake), on the matching objective
+    lc with the refreshed statistics stats, or with lc and stats None on
+    the adversarial objective alone (the baseline).
 
     Returns (loss_g, manifold_term, radius_term, r_g) as floats, r_g being
-    the fake batch's rg_score in every mode. pre_fake is
-    the fake tracker state from before this step's tracker refresh.
+    the fake batch's rg_score in every mode.
     """
-    fake_node, _ = g_net.forward(z)
-    out_fake, feat_fake = d_net.forward(fake_node)
     if lc is None:
         # non-saturating objective: push D(G(z)) toward 1
         loss_node = -(out_fake.clamp(PROB_CLAMP, 1.0 - PROB_CLAMP).log().mean())
-        opt_g.step(gradients(loss_node, g_net.parameters()))
+        opt_g.step(gradients(loss_node, opt_g.params))
         # matching terms are reported for observability even though the
         # baseline never optimizes them
         fv = feat_fake.value
-        m_f = estimate(fv)
-        m_r = estimate(feat_real) if feat_real is not None else m_f
-        cg, rgap = manifold_gap(m_r, m_f)
+        cg, rgap = manifold_gap(estimate(feat_real), estimate(fv))
         return loss_node.item(), cg, rgap, rg_score(fv)
 
-    # real side: the tracker already folded this batch in, so its current
-    # state IS the blend; enters as constants
-    real = real_tracker.current
-    # fake side: blend the pre-refresh tracker with the live mini nodes
-    c_f, r_f = blended_stats(lc.delta, pre_fake, feat_fake, lc.kernel)
-    terms = generator_terms(lc, feat_real, feat_fake,
-                            c_real=real.centroid if lc.kernel is None else None,
-                            c_fake=c_f, radius_real=real.radius, radius_fake=r_f)
-    opt_g.step(gradients(terms.total, g_net.parameters()))
-    return (terms.total.item(), terms.manifold.item(), terms.radius.item(),
-            rg_score(feat_fake.value))
+    terms = generator_terms(
+        lc, feat_real, feat_fake,
+        c_real=stats.real.centroid if lc.kernel is None else None,
+        c_fake=stats.c_fake, radius_real=stats.real.radius,
+        radius_fake=stats.r_fake, gram_real=stats.gram_real)
+    opt_g.step(gradients(terms.total, opt_g.params))
+    rg = (rg_score(feat_fake.value) if terms.rg_fake is None
+          else terms.rg_fake.item())
+    return terms.total.item(), terms.manifold.item(), terms.radius.item(), rg
 
 
 def _copy_network(net: Network) -> Network:
@@ -179,7 +220,8 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
     eval_interval steps and on the final step, with the averaged generator.
 
     Raises NumericalError tagged with the step index if any loss term,
-    activation, or gradient goes non-finite.
+    activation, or gradient goes non-finite, and ValueError tagged so if
+    a kernel is not positive semidefinite on the features.
     """
     ss = np.random.SeedSequence(cfg.seed)
     ss_data, ss_latent, ss_g, ss_d = ss.spawn(4)
@@ -207,20 +249,19 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
             for _ in range(cfg.d_steps_per_g):
                 x = sample_batch(data, cfg.batch, rng_data)
                 z = rng_latent.standard_normal((cfg.batch, cfg.latent_dim))
-                loss_d, l_orig_val, fake_pts = d_step(g_net, d_net, opt_d, x, z)
-            if lc is None:
-                feat_real = d_net.forward_values(x)[1]
-                pre_fake = None
-            else:
-                pre_fake = fake_tracker.current
-                feat_real, _ = update_trackers(
-                    lc.kernel, d_net, x, fake_pts, real_tracker, fake_tracker)
+                loss_d, l_orig_val, fake = d_step(g_net, d_net, opt_d, x, z)
+            # the updated discriminator's one pass over each batch
+            feat_real = d_net.forward_values(x)[1]
+            out_fake, feat_fake = d_net.forward(fake)
+            stats = None if lc is None else update_trackers(
+                lc.kernel, feat_real, feat_fake, real_tracker, fake_tracker)
             loss_g, m_term, r_term, rg_val = g_step(
-                lc, g_net, d_net, opt_g, z, feat_real, pre_fake,
-                real_tracker, fake_tracker)
+                lc, opt_g, feat_real, out_fake, feat_fake, stats)
             _fold_average(g_avg, g_net, step)
         except NumericalError as e:
             raise NumericalError(f"{e} (step {step})") from e
+        except ValueError as e:  # the kernel trick's PSD guard
+            raise ValueError(f"{e} (step {step})") from e
 
         report = LossReport(step=step, loss_g=loss_g, loss_d=loss_d,
                             l_orig=l_orig_val, manifold_term=m_term,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mmgan.trainer as trainer_mod
 from mmgan.cli import main
 from mmgan.config import KERNEL_CHOICES, parse_config_text
 from mmgan.neural import ACTIVATIONS
@@ -168,6 +169,36 @@ def test_interrupted_retrain_leaves_no_finished_run(tmp_path, monkeypatch):
         main(["train", *FAST, "--steps", "90", "--out", str(out)])
     assert not (out / "manifest.txt").exists()
     assert not (out / "generator.bin").exists()
+
+
+def test_retrain_removes_stale_eval_artifacts(tmp_path):
+    out = run_fast(tmp_path)
+    assert main(["train", *FAST, "--steps", "40", "--eval-interval", "20",
+                 "--out", str(out)]) == 0
+    prefix = "# artifact: "
+    listed = {line[len(prefix):]
+              for line in (out / "manifest.txt").read_text().splitlines()
+              if line.startswith(prefix)}
+    assert {p.name for p in out.iterdir()} == listed
+    assert "samples_20.csv" in listed and "samples_60.csv" not in listed
+
+
+def test_train_value_error_mid_run_exits_3(tmp_path, capsys, monkeypatch):
+    calls = []
+    orig = trainer_mod.g_step
+
+    def bomb(*a, **k):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("kernel not positive semidefinite")
+        return orig(*a, **k)
+
+    monkeypatch.setattr(trainer_mod, "g_step", bomb)
+    assert main(["train", *FAST, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "numerical abort" in err and "positive semidefinite" in err
+    assert "(step 2)" in err
 
 
 def test_train_unwritable_out_dir(tmp_path, capsys):

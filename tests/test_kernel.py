@@ -197,6 +197,16 @@ def test_tensor_path_matches_numpy_path():
         assert tm.item() == pytest.approx(feature_sq_dist(spec, pts, c), rel=1e-12)
 
 
+def test_prebuilt_gram_gives_the_same_bits():
+    rng = np.random.default_rng(8)
+    pts, qts = rng.normal(size=(6, 3)), rng.normal(size=(5, 3))
+    for spec in ALL_SPECS:
+        gram = mean_gram(spec, constant(pts), constant(pts))
+        assert kernel_radius(spec, pts, gram).item() == kernel_radius(spec, pts)
+        assert (feature_sq_dist(spec, pts, qts, gram).item()
+                == feature_sq_dist(spec, pts, qts))
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind + str(s.degree))
 def test_gradients_through_kernel_ops(spec):
     rng = np.random.default_rng(8)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import mmgan.kernel as kernel_mod
+import mmgan.loss as loss_mod
 import mmgan.trainer as trainer_mod
 from mmgan.config import RunConfig
 from mmgan.data import DatasetHandle, make_dataset
-from mmgan.kernel import KernelSpec
-from mmgan.loss import batch_radius
+from mmgan.kernel import KernelSpec, kernel_radius
+from mmgan.loss import batch_radius, rg_score
 from mmgan.manifold import ManifoldTracker, SphereManifold
 from mmgan.neural import Network, NumericalError, SGD
 from mmgan.trainer import (
@@ -102,12 +104,11 @@ def test_tracker_states_follow_recorded_minis(monkeypatch):
     minis = {"real": [], "fake": []}
     orig = update_trackers
 
-    def spy(spec, d_net, x, fake_pts, real_tracker, fake_tracker):
-        for name, batch in (("real", x), ("fake", fake_pts)):
-            feats = d_net.forward_values(batch)[1]
+    def spy(spec, feat_real, feat_fake, real_tracker, fake_tracker):
+        for name, feats in (("real", feat_real), ("fake", feat_fake.value)):
             c = feats.mean(axis=0)
             minis[name].append((c, float(batch_radius(spec, feats, c))))
-        return orig(spec, d_net, x, fake_pts, real_tracker, fake_tracker)
+        return orig(spec, feat_real, feat_fake, real_tracker, fake_tracker)
 
     monkeypatch.setattr(trainer_mod, "update_trackers", spy)
     delta = 0.9
@@ -126,11 +127,10 @@ def test_delta_zero_tracker_equals_last_mini(monkeypatch):
     minis = []
     orig = update_trackers
 
-    def spy(spec, d_net, x, fake_pts, real_tracker, fake_tracker):
-        feats = d_net.forward_values(x)[1]
-        c = feats.mean(axis=0)
-        minis.append((c, float(batch_radius(None, feats, c))))
-        return orig(spec, d_net, x, fake_pts, real_tracker, fake_tracker)
+    def spy(spec, feat_real, feat_fake, real_tracker, fake_tracker):
+        c = feat_real.mean(axis=0)
+        minis.append((c, float(batch_radius(None, feat_real, c))))
+        return orig(spec, feat_real, feat_fake, real_tracker, fake_tracker)
 
     monkeypatch.setattr(trainer_mod, "update_trackers", spy)
     res = train(tiny_cfg(steps=3, delta=0.0),
@@ -146,29 +146,32 @@ def test_delta_zero_tracker_equals_last_mini(monkeypatch):
 ], ids=["plain", "rbf"])
 def test_g_step_blend_value_coincides_with_tracker(monkeypatch, loss_keys):
     seen = []
-    orig = g_step
+    trackers = []
+    orig_t, orig_g = update_trackers, g_step
 
-    def spy(lc, g_net, d_net, opt_g, z, feat_real, pre_fake, rt, ft):
-        # recompute the blended fake statistic before the update mutates G
-        feats = d_net.forward_values(g_net.forward_values(z)[0])[1]
-        c_mini = feats.mean(axis=0)
-        r_mini = float(batch_radius(lc.kernel, feats, c_mini))
-        d = lc.delta
-        if pre_fake is None:
-            blend_c, blend_r = c_mini, r_mini
-        else:
-            blend_c = d * pre_fake.centroid + (1 - d) * c_mini
-            blend_r = d * pre_fake.radius + (1 - d) * r_mini
-        seen.append((blend_c, blend_r, ft.current.centroid.copy(),
+    def spy_t(spec, feat_real, feat_fake, rt, ft):
+        trackers[:] = [ft]
+        return orig_t(spec, feat_real, feat_fake, rt, ft)
+
+    def spy_g(lc, opt_g, feat_real, out_fake, feat_fake, stats):
+        ft = trackers[0]
+        blend_c = None if stats.c_fake is None else stats.c_fake.value
+        seen.append((blend_c, stats.r_fake.item(), ft.current.centroid.copy(),
                      ft.current.radius))
-        return orig(lc, g_net, d_net, opt_g, z, feat_real, pre_fake, rt, ft)
+        return orig_g(lc, opt_g, feat_real, out_fake, feat_fake, stats)
 
-    monkeypatch.setattr(trainer_mod, "g_step", spy)
+    monkeypatch.setattr(trainer_mod, "update_trackers", spy_t)
+    monkeypatch.setattr(trainer_mod, "g_step", spy_g)
     train(tiny_cfg(steps=4, **loss_keys), make_dataset("ring8"))
     assert len(seen) == 4
     for blend_c, blend_r, track_c, track_r in seen:
-        np.testing.assert_allclose(blend_c, track_c, rtol=1e-10, atol=1e-12)
-        assert blend_r == pytest.approx(track_r, rel=1e-10, abs=1e-12)
+        if "kernel" in loss_keys:
+            # the kernelized loss reads no centroid, and the tracker folds
+            # in the very radius node the blend is built on
+            assert blend_c is None and blend_r == track_r
+        else:
+            np.testing.assert_allclose(blend_c, track_c, rtol=1e-10, atol=1e-12)
+            assert blend_r == pytest.approx(track_r, rel=1e-10, abs=1e-12)
 
 
 def test_baseline_mode_skips_manifold_machinery(monkeypatch):
@@ -194,6 +197,72 @@ def test_numerical_error_carries_step_index(monkeypatch):
     monkeypatch.setattr(trainer_mod, "g_step", bomb)
     with pytest.raises(NumericalError, match=r"boom \(step 2\)"):
         train(tiny_cfg(steps=5), make_dataset("ring8"))
+
+
+@pytest.mark.parametrize("keys, per_step", [
+    (dict(kernel="rbf", beta=1.0),
+     dict(forward=5, mean_gram=4, kernel_radius=2, r_g=2)),
+    (dict(kernel="rbf", beta=0.0),
+     dict(forward=5, mean_gram=4, kernel_radius=2, r_g=1)),
+    (dict(baseline=True),
+     dict(forward=5, mean_gram=0, kernel_radius=0, r_g=1)),
+], ids=["rbf", "rbf-beta0", "baseline"])
+def test_work_per_step(monkeypatch, keys, per_step):
+    # each quantity is computed once per step: one G forward, one D pass
+    # over each batch before and after D's update, K_rr shared by the real
+    # radius and the MMD^2, and the fake rg_score shared by the penalty and
+    # the report
+    counts = dict.fromkeys(per_step, 0)
+
+    def count(owner, name, key):
+        orig = getattr(owner, name)
+
+        def counted(*a, **k):
+            counts[key] += 1
+            return orig(*a, **k)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(Network, "forward", "forward")
+    # the trainer imports mean_gram under its own name
+    count(kernel_mod, "mean_gram", "mean_gram")
+    count(trainer_mod, "mean_gram", "mean_gram")
+    count(loss_mod, "kernel_radius", "kernel_radius")
+    count(loss_mod, "r_g", "r_g")
+    steps = 3
+    train(tiny_cfg(steps=steps, **keys), make_dataset("ring8"))
+    assert counts == {key: n * steps for key, n in per_step.items()}
+
+
+def test_shared_values_equal_a_fresh_value_pass(monkeypatch):
+    # the values a step shares instead of recomputing equal, bit for bit,
+    # an independent value pass with the updated discriminator
+    batches, minis = [], []
+    orig_d, orig_fold = d_step, trainer_mod.tracker_update
+
+    def spy_d(g_net, d_net, opt_d, x, z):
+        out = orig_d(g_net, d_net, opt_d, x, z)
+        batches.append((x, out[2].value))
+        return out
+
+    def spy_fold(tracker, mini):
+        minis.append(mini)
+        return orig_fold(tracker, mini)
+
+    monkeypatch.setattr(trainer_mod, "d_step", spy_d)
+    monkeypatch.setattr(trainer_mod, "tracker_update", spy_fold)
+    cfg = tiny_cfg(steps=3, kernel="rbf", gamma=0.5, beta=1.0)
+    res = train(cfg, make_dataset("ring8"))
+    spec = cfg.loss_config().kernel
+    # the last step's batches, and its D, which g_step leaves unchanged
+    x, fake = batches[-1]
+    d = res.discriminator
+    mini_real, mini_fake = minis[-2:]
+    feat_fake = d.forward_values(fake)[1]
+    assert np.array_equal(mini_fake.radius, kernel_radius(spec, feat_fake))
+    assert np.array_equal(mini_real.radius,
+                          kernel_radius(spec, d.forward_values(x)[1]))
+    assert np.array_equal(res.history[-1].r_g, rg_score(feat_fake))
 
 
 def test_on_eval_fires_at_interval_and_final_step():
@@ -231,10 +300,11 @@ def test_d_step_touches_only_discriminator():
     rng = np.random.default_rng(1)
     x, z = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
     gs, ds = snapshot(g), snapshot(d)
-    loss_d, lo, fake_pts = d_step(g, d, opt_d, x, z)
+    loss_d, lo, fake = d_step(g, d, opt_d, x, z)
     assert changed(d, ds) and not changed(g, gs)
     assert np.isfinite(loss_d) and lo <= 0.0
-    assert fake_pts.shape == (8, 2)
+    # G's graph node, for g_step to differentiate
+    assert fake.shape == (8, 2) and fake.requires_grad
 
 
 def test_g_step_touches_only_generator():
@@ -244,10 +314,11 @@ def test_g_step_touches_only_generator():
     rng = np.random.default_rng(2)
     x, z = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
     rt, ft = ManifoldTracker(0.9), ManifoldTracker(0.9)
-    fake_pts = g.forward_values(z)[0]
-    feat_real, _ = update_trackers(None, d, x, fake_pts, rt, ft)
+    feat_real = d.forward_values(x)[1]
+    out_fake, feat_fake = d.forward(g.forward(z)[0])
+    stats = update_trackers(None, feat_real, feat_fake, rt, ft)
     gs, ds = snapshot(g), snapshot(d)
-    out = g_step(cfg.loss_config(), g, d, opt_g, z, feat_real, None, rt, ft)
+    out = g_step(cfg.loss_config(), opt_g, feat_real, out_fake, feat_fake, stats)
     assert changed(g, gs) and not changed(d, ds)
     assert all(np.isfinite(v) for v in out)
 
@@ -256,30 +327,38 @@ def test_update_trackers_initializes_both():
     g, d = make_pair()
     rng = np.random.default_rng(3)
     x = rng.normal(size=(8, 2))
-    fake_pts = g.forward_values(rng.normal(size=(8, 2)))[0]
+    feat_real = d.forward_values(x)[1]
+    _, feat_fake = d.forward(g.forward(rng.normal(size=(8, 2)))[0])
     rt, ft = ManifoldTracker(0.9), ManifoldTracker(0.9)
-    feat_real, feat_fake = update_trackers(None, d, x, fake_pts, rt, ft)
+    stats = update_trackers(None, feat_real, feat_fake, rt, ft)
     assert rt.current is not None and ft.current is not None
-    assert feat_real.shape == (8, 8) and feat_fake.shape == (8, 8)
+    assert stats.real is rt.current and stats.gram_real is None
     np.testing.assert_allclose(rt.current.centroid, feat_real.mean(axis=0))
+    np.testing.assert_allclose(ft.current.centroid, feat_fake.value.mean(axis=0))
+    # a fresh tracker adopts the mini-batch statistic, which the returned
+    # nodes then equal
+    np.testing.assert_allclose(stats.c_fake.value, ft.current.centroid)
+    assert stats.r_fake.item() == pytest.approx(ft.current.radius, rel=1e-12)
+    assert stats.r_fake.requires_grad
 
 
 def test_blended_stats_uninitialized_passes_mini_through():
-    feats = np.random.default_rng(4).normal(size=(6, 3))
-    c, r = blended_stats(0.9, None, feats, None)
-    np.testing.assert_allclose(c, feats.mean(axis=0))
-    assert r == pytest.approx(batch_radius(None, feats, feats.mean(axis=0)))
+    c_mini, r_mini = np.array([0.5, -1.0, 2.0]), 0.75
+    c, r = blended_stats(0.9, None, c_mini, r_mini)
+    assert c is c_mini and r == r_mini
 
 
 def test_blended_stats_hand_case():
     feats = np.array([[1.0, 0.0], [3.0, 0.0]])  # c_mini=(2,0), r_mini=1
+    c_mini = feats.mean(axis=0)
     prev = SphereManifold(np.array([0.0, 0.0]), 3.0)
-    c, r = blended_stats(0.9, prev, feats, None)
+    c, r = blended_stats(0.9, prev, c_mini, batch_radius(None, feats, c_mini))
     np.testing.assert_allclose(c, [0.2, 0.0])
     assert r == pytest.approx(0.9 * 3.0 + 0.1 * 1.0)
     # the kernelized loss reads no centroid: only the radius is blended,
     # here the linear kernel's mean squared distance 1
-    c, r = blended_stats(0.9, prev, feats, KernelSpec("linear"))
+    c, r = blended_stats(0.9, prev, None,
+                         batch_radius(KernelSpec("linear"), feats, None))
     assert c is None
     assert r == pytest.approx(0.9 * 3.0 + 0.1 * 1.0)
 
