@@ -74,6 +74,11 @@ class RunConfig:
         if self.kernel not in KERNEL_CHOICES:
             raise ValueError(f"unknown kernel {self.kernel!r}; "
                              f"choose from {KERNEL_CHOICES}")
+        # poly's values grow with D's features until the statistics
+        # overflow: at the defaults every seed tried aborted within 150 steps
+        if self.kernel == "poly":
+            raise ValueError("kernel poly diverges in training; "
+                             "it is for gradcheck only")
         if self.dataset == "idx" and not self.idx_images:
             raise ValueError("dataset idx needs idx_images")
         # r_g compares rows, so a batch and an evaluation need two of them

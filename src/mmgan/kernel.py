@@ -1,8 +1,7 @@
 """Kernel functions and the kernel trick for feature-space geometry.
 
 Each formula is written once, in Tensor ops: Tensors in give graph
-nodes, numpy arrays in give floats (`neural.accepts_arrays`). Only
-`kernel_eval`, the per-pair reference for `mean_gram`, is plain numpy.
+nodes, numpy arrays in give floats (`neural.accepts_arrays`).
 
 Feature-space geometry is computed without ever materializing the feature
 map. The centroid of a mapped batch is its mean embedding
@@ -26,7 +25,6 @@ from mmgan.neural import accepts_arrays, constant, node
 __all__ = [
     "KERNEL_KINDS",
     "KernelSpec",
-    "kernel_eval",
     "kernel_self_batch",
     "mean_gram",
     "feature_sq_dist",
@@ -66,25 +64,6 @@ class KernelSpec:
 
     def resolve_gamma(self, dim: int) -> float:
         return self.gamma if self.gamma is not None else 1.0 / dim
-
-
-def kernel_eval(spec: KernelSpec, a, b) -> float:
-    """K(a, b) for two d-vectors, in plain numpy."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError(f"kernel inputs must be 1-D, got {a.shape} and {b.shape}")
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    if spec.kind == "linear":
-        return float((a * b).sum())
-    if spec.kind == "polynomial":
-        return float(((a * b).sum() + spec.coef0) ** spec.degree)
-    gamma = spec.resolve_gamma(a.shape[0])
-    diff = a - b
-    sq = (diff * diff).sum()
-    if spec.kind == "rbf":
-        return float(np.exp(-gamma * sq))
-    return float(np.exp(-gamma * np.sqrt(sq)))  # exp kernel, euclidean not squared
 
 
 @accepts_arrays

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mmgan.kernel import KernelSpec, feature_sq_dist, kernel_radius
+from mmgan.manifold import centroid, radius
 from mmgan.neural import accepts_arrays
 from mmgan.regularizer import r_g
 
@@ -45,7 +46,6 @@ __all__ = [
     "LossReport",
     "GeneratorTerms",
     "l_orig",
-    "batch_centroid",
     "batch_radius",
     "rg_score",
     "rg_penalty",
@@ -126,20 +126,13 @@ def l_d_final(d_real, d_fake):
 
 
 @accepts_arrays
-def batch_centroid(reps):
-    """Mean representation. Shape (d,)."""
-    return reps.mean(axis=0)
-
-
-@accepts_arrays
 def batch_radius(spec: KernelSpec | None, reps, c, gram=None):
     """Radius of a batch under the convention spec selects: mean distance
     to c when spec is None; else mean squared feature distance to the
     batch's own mean embedding, which c (an input-space point) is not.
     gram, if given, is the batch's already built mean Gram."""
     if spec is None:
-        diff = reps - c
-        return (diff * diff).sum(axis=1).sqrt().mean()
+        return radius(reps, c)
     return kernel_radius(spec, reps, gram)
 
 
@@ -181,9 +174,9 @@ def generator_terms(cfg: LossConfig, reps_real, reps_fake, *,
     batches' mean embeddings.
     """
     if cfg.kernel is None and c_real is None:
-        c_real = batch_centroid(reps_real)
+        c_real = centroid(reps_real)
     if cfg.kernel is None and c_fake is None:
-        c_fake = batch_centroid(reps_fake)
+        c_fake = centroid(reps_fake)
     if radius_real is None:
         radius_real = batch_radius(cfg.kernel, reps_real, c_real, gram_real)
     if radius_fake is None:

@@ -218,7 +218,8 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self.value
         n = a.size if axis is None else a.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+        # sum / n, as numpy's mean computes it: the same bits at every n
+        return self.sum(axis=axis, keepdims=keepdims) / n
 
     # -- elementwise nonlinearities ---------------------------------------
 
@@ -287,7 +288,7 @@ def parameter(value) -> Tensor:
 
 
 def _lift(x):
-    return constant(x) if isinstance(x, np.ndarray) else x
+    return constant(x) if isinstance(x, (np.ndarray, list)) else x
 
 
 def _plain(x):
@@ -303,9 +304,9 @@ def _plain(x):
 def accepts_arrays(fn):
     """Let a function written in Tensor ops also take numpy arrays.
 
-    Array arguments enter as constants, so they record no graph. If any
-    argument is a Tensor, the result is the graph node(s); otherwise it
-    comes back as plain values: arrays in, floats out.
+    Array (and list) arguments enter as constants, so they record no
+    graph. If any argument is a Tensor, the result is the graph node(s);
+    otherwise it comes back as plain values: arrays in, floats out.
     """
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):

@@ -18,9 +18,11 @@ over the fakes, the real batch's mean Gram (the real radius and the MMD^2
 both read it) and the fake batch's rg_score (the penalty and the report).
 
 The blend delta * stop_grad(tracked) + (1 - delta) * mini keeps gradients
-flowing through the mini-batch term only; its value coincides with the
-tracker state after step 3, which tests assert. A tracker that has not seen
-any batch yet contributes nothing: the raw mini-batch statistic is used.
+flowing through the mini-batch term only, and the tracker state after step
+3 is the blend's value: one fold (`manifold.tracker_update`) computes both.
+A tracker that has not seen any batch yet contributes nothing: the raw
+mini-batch statistic is used. With a kernel the trackers keep the radius
+alone, since the kernelized loss reads no centroid.
 
 After each generator update its parameters are folded into an exponential
 moving average, and that average is the generator a run evaluates and
@@ -47,14 +49,14 @@ from mmgan.kernel import KernelSpec, mean_gram
 from mmgan.loss import (
     LossConfig,
     LossReport,
-    batch_centroid,
     batch_radius,
     generator_terms,
     l_d_final,
     rg_score,
     PROB_CLAMP,
 )
-from mmgan.manifold import ManifoldTracker, SphereManifold, estimate, tracker_update
+from mmgan.manifold import (ManifoldTracker, SphereManifold, centroid,
+                            estimate, tracker_update)
 from mmgan.metrics import MetricsRow, manifold_gap, mode_coverage
 from mmgan.neural import (
     Layer,
@@ -76,7 +78,6 @@ __all__ = [
     "d_step",
     "g_step",
     "update_trackers",
-    "blended_stats",
     "MatchStats",
 ]
 
@@ -96,17 +97,6 @@ class TrainResult:
     history: list
     real_tracker: ManifoldTracker
     fake_tracker: ManifoldTracker
-
-
-def blended_stats(delta: float, prev: SphereManifold | None, c, r):
-    """Mix the tracker state prev, if any, into the differentiable
-    mini-batch centroid c (None with a kernel, whose loss reads no
-    centroid) and radius r; gradients flow only through the latter."""
-    if prev is not None and delta != 0.0:
-        r = delta * prev.radius + (1.0 - delta) * r
-        if c is not None:
-            c = delta * prev.centroid + (1.0 - delta) * c
-    return c, r
 
 
 @dataclass
@@ -146,26 +136,17 @@ def update_trackers(spec: KernelSpec | None, feat_real: np.ndarray,
     trackers, and return what g_step reads of them.
 
     feat_real holds the real features as values, feat_fake the fake ones
-    as the graph node g_step differentiates. With a kernel the fake
-    tracker folds in the value of the mini-batch radius node the blend is
-    built on. The plain radius is measured about the numpy centroid the
-    tracker keeps, which can differ from the centroid node in the last
-    bit, so it is measured again on the values.
+    as the graph node g_step differentiates: the fake tracker folds in the
+    mini-batch nodes, so its state is the value of the blend g_step reads.
+    With a kernel the loss reads no centroid, and none is computed.
     """
     real = constant(feat_real)
-    c = feat_real.mean(axis=0)
     gram_real = None if spec is None else mean_gram(spec, real, real)
-    tracker_update(real_tracker, SphereManifold(
-        c, batch_radius(spec, real, c, gram_real).item()))
-
-    pre_fake = fake_tracker.current
-    c_mini = batch_centroid(feat_fake) if spec is None else None
-    r_mini = batch_radius(spec, feat_fake, c_mini)
-    fv = feat_fake.value
-    c = fv.mean(axis=0)
-    r = batch_radius(None, fv, c) if spec is None else r_mini.item()
-    tracker_update(fake_tracker, SphereManifold(c, r))
-    c_fake, r_fake = blended_stats(fake_tracker.delta, pre_fake, c_mini, r_mini)
+    c = centroid(feat_real) if spec is None else None
+    tracker_update(real_tracker, c, batch_radius(spec, real, c, gram_real).item())
+    c = centroid(feat_fake) if spec is None else None
+    c_fake, r_fake = tracker_update(fake_tracker, c,
+                                    batch_radius(spec, feat_fake, c))
     return MatchStats(real_tracker.current, gram_real, c_fake, r_fake)
 
 
@@ -191,8 +172,7 @@ def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: np.ndarray,
         return loss_node.item(), cg, rgap, rg_score(fv)
 
     terms = generator_terms(
-        lc, feat_real, feat_fake,
-        c_real=stats.real.centroid if lc.kernel is None else None,
+        lc, feat_real, feat_fake, c_real=stats.real.centroid,
         c_fake=stats.c_fake, radius_real=stats.real.radius,
         radius_fake=stats.r_fake, gram_real=stats.gram_real)
     opt_g.step(gradients(terms.total, opt_g.params))

@@ -76,3 +76,23 @@ def brute_corr(reps):
             denom = np.sqrt(np.sum(xi ** 2)) * np.sqrt(np.sum(xj ** 2))
             a[i, j] = np.sum(xi * xj) / denom if denom > 0 else 0.0
     return a
+
+
+def kernel_eval(spec, a, b):
+    """K(a, b) for two d-vectors under a KernelSpec, one pair at a time:
+    the per-pair reference for the batched kernel code."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim != 1 or b.ndim != 1:
+        raise ValueError(f"kernel inputs must be 1-D, got {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    if spec.kind == "linear":
+        return float((a * b).sum())
+    if spec.kind == "polynomial":
+        return float(((a * b).sum() + spec.coef0) ** spec.degree)
+    gamma = spec.resolve_gamma(a.shape[0])
+    diff = a - b
+    sq = (diff * diff).sum()
+    if spec.kind == "rbf":
+        return float(np.exp(-gamma * sq))
+    return float(np.exp(-gamma * np.sqrt(sq)))  # exp kernel, euclidean not squared

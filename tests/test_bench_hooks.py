@@ -45,3 +45,23 @@ def test_train_clock_times_a_cli_run(tmp_path, monkeypatch):
     assert len(clock.records) == 1
     assert clock.records[0]["steps"] == 4
     assert clock.records[0]["eval_wall"] > 0
+
+
+def test_ring8_run_calls_every_traced_layer(tmp_path, monkeypatch):
+    # a refactor that stops calling a wrapped name through the module the
+    # trace patches would otherwise fail only the benchmark's --trace 1 run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    run = load("perfbench_run", PERFBENCH / "run.py", monkeypatch)
+    tr = run.tr
+    tracer = tr.Tracer()
+    out = str(tmp_path / "run")
+    with tr.patched(tracer.replacements()):
+        assert cli.main(["train", "--dataset", "ring8", "--kernel", "rbf",
+                         "--steps", "4", "--eval-interval", "2",
+                         "--batch", "8", "--eval-samples", "16",
+                         "--out", out]) == 0
+        assert cli.main(["eval", "--out", out]) == 0
+    # run.py opens the train and eval-callback spans itself
+    expected = [name for name in run.WORKLOADS["ring8_matcher"].expected
+                if name not in (tr.TRAIN_SPAN, tr.EVAL_SPAN)]
+    tr.check_called(tracer, expected)

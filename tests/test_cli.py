@@ -132,7 +132,7 @@ def test_train_rejects_bad_flag_value(capsys):
 @pytest.mark.parametrize("flags", [
     ["--steps", "0"], ["--batch", "1"], ["--alpha", "-1"], ["--delta", "1.5"],
     ["--kernel", "rbf", "--gamma", "-1"], ["--eval-interval", "0"],
-    ["--eval-samples", "1"],
+    ["--eval-samples", "1"], ["--kernel", "poly"],
 ], ids=lambda f: " ".join(f))
 def test_train_rejects_bad_numeric_flag(tmp_path, capsys, flags):
     out = tmp_path / "run"
@@ -145,7 +145,7 @@ def test_train_rejects_bad_numeric_flag(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("line", [
     "momentum_g = 1.0", "momentum_d = -0.5", "g_out_activation = foo",
-    "d_hidden = 64,1", "d_hidden =", "g_hidden = 0",
+    "d_hidden = 64,1", "d_hidden =", "g_hidden = 0", "kernel = poly",
 ])
 def test_train_rejects_bad_config_value(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"

@@ -62,8 +62,11 @@ def test_loss_config_mapping():
     assert lc.kernel == KernelSpec("rbf", gamma=0.1)
     assert lc.alpha == 2.0 and lc.beta == 0.5
     assert RunConfig(kernel="none").loss_config().kernel is None
-    # the poly alias reaches KernelSpec's canonical name
-    assert RunConfig(kernel="poly").loss_config().kernel.kind == "polynomial"
+    # the poly alias reaches KernelSpec's canonical name, and training
+    # rejects it
+    assert KernelSpec("poly").kind == "polynomial"
+    with pytest.raises(ValueError, match="poly"):
+        RunConfig(kernel="poly")
 
 
 def test_artifact_lines():

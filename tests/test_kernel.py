@@ -7,13 +7,12 @@ from mmgan.kernel import (
     KERNEL_KINDS,
     KernelSpec,
     feature_sq_dist,
-    kernel_eval,
     kernel_radius,
     kernel_self_batch,
     mean_gram,
 )
 from mmgan.neural import constant, parameter, gradients
-from oracles import fd_gradients, max_rel_err
+from oracles import fd_gradients, kernel_eval, max_rel_err
 
 ALL_SPECS = [
     KernelSpec("linear"),

@@ -7,13 +7,11 @@ from mmgan.loss import (
     LossConfig,
     LossReport,
     PROB_CLAMP,
-    batch_centroid,
     batch_radius,
     generator_terms,
     l_d_final,
     l_orig,
 )
-from mmgan.manifold import estimate
 from mmgan.neural import constant, gradients, parameter
 from mmgan.regularizer import r_g
 from oracles import fd_gradients, max_rel_err
@@ -68,14 +66,6 @@ def test_batch_radius_conventions_differ():
     c = pts.mean(axis=0)
     assert batch_radius(None, pts, c) == pytest.approx(4.0 / 3.0)
     assert batch_radius(KernelSpec("linear"), pts, c) == pytest.approx(2.0)
-
-
-def test_batch_stats_match_manifold_module():
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=(9, 4))
-    m = estimate(pts)
-    np.testing.assert_allclose(batch_centroid(pts), m.centroid, rtol=1e-12)
-    assert batch_radius(None, pts, m.centroid) == pytest.approx(m.radius, rel=1e-12)
 
 
 def test_l_g_kernel_linear_reduces_to_plain_geometry():

@@ -83,27 +83,28 @@ def test_input_validation():
 def test_tracker_first_update_adopts_mini():
     t = ManifoldTracker(delta=0.9)
     assert t.current is None
-    m = SphereManifold(np.array([0.0, 0.0]), 1.0)
-    out = tracker_update(t, m)
-    assert t.current is m
-    assert out is m
+    c = np.array([0.0, 0.0])
+    out = tracker_update(t, c, 1.0)
+    assert out[0] is c and out[1] == 1.0
+    assert np.array_equal(t.current.centroid, c) and t.current.radius == 1.0
 
 
 def test_tracker_blend_sequence():
     t = ManifoldTracker(delta=0.9)
-    tracker_update(t, SphereManifold(np.array([0.0, 0.0]), 1.0))
-    out = tracker_update(t, SphereManifold(np.array([1.0, 1.0]), 2.0))
-    np.testing.assert_allclose(out.centroid, [0.1, 0.1])
-    assert out.radius == pytest.approx(1.1)
-    assert t.current is out
+    tracker_update(t, np.array([0.0, 0.0]), 1.0)
+    c, r = tracker_update(t, np.array([1.0, 1.0]), 2.0)
+    np.testing.assert_allclose(c, [0.1, 0.1])
+    assert r == pytest.approx(1.1)
+    # the state is the returned blend
+    assert np.array_equal(t.current.centroid, c) and t.current.radius == r
 
 
 def test_tracker_delta_zero_tracks_mini_exactly():
     t = ManifoldTracker(delta=0.0)
-    tracker_update(t, SphereManifold(np.array([5.0]), 3.0))
-    out = tracker_update(t, SphereManifold(np.array([-2.0]), 0.5))
-    np.testing.assert_allclose(out.centroid, [-2.0])
-    assert out.radius == pytest.approx(0.5)
+    tracker_update(t, np.array([5.0]), 3.0)
+    c, r = tracker_update(t, np.array([-2.0]), 0.5)
+    np.testing.assert_allclose(c, [-2.0])
+    assert r == pytest.approx(0.5)
 
 
 def test_tracker_validation():
@@ -112,9 +113,16 @@ def test_tracker_validation():
     with pytest.raises(ValueError):
         ManifoldTracker(delta=-0.1)
     t = ManifoldTracker(delta=0.5)
-    tracker_update(t, SphereManifold(np.zeros(2), 1.0))
+    tracker_update(t, np.zeros(2), 1.0)
     with pytest.raises(ValueError, match="dimension"):
-        tracker_update(t, SphereManifold(np.zeros(3), 1.0))
+        tracker_update(t, np.zeros(3), 1.0)
+    # a radius-only tracker takes no centroid, and the other way round
+    with pytest.raises(ValueError, match="dimension"):
+        tracker_update(t, None, 1.0)
+    t = ManifoldTracker(delta=0.5)
+    tracker_update(t, None, 1.0)
+    with pytest.raises(ValueError, match="dimension"):
+        tracker_update(t, np.zeros(2), 1.0)
 
 
 def test_tracker_method_alias():

@@ -87,6 +87,15 @@ def test_reductions_fd():
     check_against_fd(loss, {"a": a})
 
 
+@pytest.mark.parametrize("n", [24, 800])
+def test_mean_equals_numpy_mean_bit_for_bit(n):
+    # sum / n, not sum * (1 / n): the two differ in the last bit unless n
+    # is a power of two, and statistics of arrays must match numpy's
+    a = np.random.default_rng(n).normal(size=(n, 3))
+    assert np.array_equal(constant(a).mean(axis=0).value, a.mean(axis=0))
+    assert np.array_equal(constant(a[:, 0]).mean().value, a[:, 0].mean())
+
+
 def test_unary_ops_fd():
     rng = np.random.default_rng(10)
     a = rng.uniform(0.5, 2.0, size=(3, 3))

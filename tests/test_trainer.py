@@ -8,11 +8,10 @@ from mmgan.config import RunConfig
 from mmgan.data import DatasetHandle, make_dataset
 from mmgan.kernel import KernelSpec, kernel_radius
 from mmgan.loss import batch_radius, rg_score
-from mmgan.manifold import ManifoldTracker, SphereManifold
-from mmgan.neural import Network, NumericalError, SGD
+from mmgan.manifold import ManifoldTracker, SphereManifold, centroid, tracker_update
+from mmgan.neural import Network, NumericalError, SGD, gradients, parameter
 from mmgan.trainer import (
     TrainResult,
-    blended_stats,
     d_step,
     draw_eval_batch,
     g_step,
@@ -141,37 +140,38 @@ def test_delta_zero_tracker_equals_last_mini(monkeypatch):
 
 
 @pytest.mark.parametrize("loss_keys", [
-    dict(delta=0.9),
+    dict(delta=0.9, batch=24),
     dict(delta=0.9, kernel="rbf", gamma=0.5),
 ], ids=["plain", "rbf"])
 def test_g_step_blend_value_coincides_with_tracker(monkeypatch, loss_keys):
+    # the fake tracker's state is the value of the blend g_step reads, bit
+    # for bit, also at a batch size that is not a power of two; with a
+    # kernel neither tracker keeps a centroid
     seen = []
     trackers = []
     orig_t, orig_g = update_trackers, g_step
 
     def spy_t(spec, feat_real, feat_fake, rt, ft):
-        trackers[:] = [ft]
+        trackers[:] = [rt, ft]
         return orig_t(spec, feat_real, feat_fake, rt, ft)
 
     def spy_g(lc, opt_g, feat_real, out_fake, feat_fake, stats):
-        ft = trackers[0]
+        rt, ft = trackers
         blend_c = None if stats.c_fake is None else stats.c_fake.value
-        seen.append((blend_c, stats.r_fake.item(), ft.current.centroid.copy(),
-                     ft.current.radius))
+        seen.append((blend_c, stats.r_fake.item(), ft.current, rt.current))
         return orig_g(lc, opt_g, feat_real, out_fake, feat_fake, stats)
 
     monkeypatch.setattr(trainer_mod, "update_trackers", spy_t)
     monkeypatch.setattr(trainer_mod, "g_step", spy_g)
     train(tiny_cfg(steps=4, **loss_keys), make_dataset("ring8"))
     assert len(seen) == 4
-    for blend_c, blend_r, track_c, track_r in seen:
+    for blend_c, blend_r, fake_state, real_state in seen:
+        assert blend_r == fake_state.radius
         if "kernel" in loss_keys:
-            # the kernelized loss reads no centroid, and the tracker folds
-            # in the very radius node the blend is built on
-            assert blend_c is None and blend_r == track_r
+            assert blend_c is None
+            assert fake_state.centroid is None and real_state.centroid is None
         else:
-            np.testing.assert_allclose(blend_c, track_c, rtol=1e-10, atol=1e-12)
-            assert blend_r == pytest.approx(track_r, rel=1e-10, abs=1e-12)
+            assert np.array_equal(blend_c, fake_state.centroid)
 
 
 def test_baseline_mode_skips_manifold_machinery(monkeypatch):
@@ -245,9 +245,9 @@ def test_shared_values_equal_a_fresh_value_pass(monkeypatch):
         batches.append((x, out[2].value))
         return out
 
-    def spy_fold(tracker, mini):
-        minis.append(mini)
-        return orig_fold(tracker, mini)
+    def spy_fold(tracker, c, r):
+        minis.append(r)
+        return orig_fold(tracker, c, r)
 
     monkeypatch.setattr(trainer_mod, "d_step", spy_d)
     monkeypatch.setattr(trainer_mod, "tracker_update", spy_fold)
@@ -259,9 +259,9 @@ def test_shared_values_equal_a_fresh_value_pass(monkeypatch):
     d = res.discriminator
     mini_real, mini_fake = minis[-2:]
     feat_fake = d.forward_values(fake)[1]
-    assert np.array_equal(mini_fake.radius, kernel_radius(spec, feat_fake))
-    assert np.array_equal(mini_real.radius,
-                          kernel_radius(spec, d.forward_values(x)[1]))
+    # the fake radius is the node the blend is built on, the real one a value
+    assert np.array_equal(mini_fake.value, kernel_radius(spec, feat_fake))
+    assert np.array_equal(mini_real, kernel_radius(spec, d.forward_values(x)[1]))
     assert np.array_equal(res.history[-1].r_g, rg_score(feat_fake))
 
 
@@ -342,25 +342,37 @@ def test_update_trackers_initializes_both():
     assert stats.r_fake.requires_grad
 
 
-def test_blended_stats_uninitialized_passes_mini_through():
-    c_mini, r_mini = np.array([0.5, -1.0, 2.0]), 0.75
-    c, r = blended_stats(0.9, None, c_mini, r_mini)
-    assert c is c_mini and r == r_mini
+def test_tracker_fold_uninitialized_passes_mini_through():
+    t = ManifoldTracker(0.9)
+    c_mini, r_mini = parameter(np.array([0.5, -1.0, 2.0])), parameter(0.75)
+    c, r = tracker_update(t, c_mini, r_mini)
+    assert c is c_mini and r is r_mini
+    assert np.array_equal(t.current.centroid, c_mini.value)
+    assert t.current.radius == 0.75
 
 
-def test_blended_stats_hand_case():
-    feats = np.array([[1.0, 0.0], [3.0, 0.0]])  # c_mini=(2,0), r_mini=1
-    c_mini = feats.mean(axis=0)
-    prev = SphereManifold(np.array([0.0, 0.0]), 3.0)
-    c, r = blended_stats(0.9, prev, c_mini, batch_radius(None, feats, c_mini))
-    np.testing.assert_allclose(c, [0.2, 0.0])
-    assert r == pytest.approx(0.9 * 3.0 + 0.1 * 1.0)
-    # the kernelized loss reads no centroid: only the radius is blended,
-    # here the linear kernel's mean squared distance 1
-    c, r = blended_stats(0.9, prev, None,
-                         batch_radius(KernelSpec("linear"), feats, None))
-    assert c is None
-    assert r == pytest.approx(0.9 * 3.0 + 0.1 * 1.0)
+def test_tracker_fold_hand_case():
+    feats = parameter(np.array([[1.0, 0.0], [3.0, 0.0]]))  # c_mini=(2,0), r_mini=1
+    t = ManifoldTracker(0.9)
+    t.current = SphereManifold(np.array([0.0, 0.0]), 3.0)
+    c_mini = centroid(feats)
+    r_mini = batch_radius(None, feats, c_mini)
+    c, r = tracker_update(t, c_mini, r_mini)
+    np.testing.assert_allclose(c.value, [0.2, 0.0])
+    assert r.item() == pytest.approx(0.9 * 3.0 + 0.1 * 1.0)
+    assert np.array_equal(t.current.centroid, c.value)
+    assert t.current.radius == r.item()
+    # gradients flow through the mini-batch term alone
+    params = {"feats": feats}
+    np.testing.assert_allclose(gradients(r, params)["feats"],
+                               0.1 * gradients(r_mini, params)["feats"])
+    # with a kernel only the radius is kept and blended, here the linear
+    # kernel's mean squared distance 1
+    t.current = SphereManifold(None, 3.0)
+    c, r = tracker_update(t, None,
+                          batch_radius(KernelSpec("linear"), feats, None))
+    assert c is None and t.current.centroid is None
+    assert r.item() == pytest.approx(0.9 * 3.0 + 0.1 * 1.0)
 
 
 def test_training_fits_a_single_gaussian():
