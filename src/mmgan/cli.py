@@ -18,6 +18,7 @@ import numpy as np
 from mmgan.config import (
     DATASETS,
     KERNEL_CHOICES,
+    TRAIN_KERNELS,
     RunConfig,
     manifest_text,
     parse_config_text,
@@ -86,7 +87,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--idx-images", dest="idx_images",
                    help="idx image file (idx dataset only; .gz accepted)")
     p.add_argument("--idx-labels", dest="idx_labels")
-    p.add_argument("--kernel", choices=KERNEL_CHOICES)
+    p.add_argument("--kernel", choices=TRAIN_KERNELS)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--delta", type=float)

@@ -157,14 +157,15 @@ def _psd_checked(v, scale: float):
 
 
 @accepts_arrays
-def feature_sq_dist(spec: KernelSpec, a, b, gram_a=None):
+def feature_sq_dist(spec: KernelSpec, a, b, gram_a=None, gram_b=None):
     """||mu_a - mu_b||^2 between the feature-space centroids of a and b.
     Non-negative.
 
     Each argument is a d-vector, whose centroid is phi of itself, or an
     (n, d) batch, whose centroid is its mean embedding; between two
-    batches this is the (biased) squared maximum mean discrepancy. gram_a,
-    if given, is the already built mean_gram(spec, a, a). Raises
+    batches this is the (biased) squared maximum mean discrepancy. gram_a
+    and gram_b, if given, are the already built mean_gram(spec, a, a) and
+    mean_gram(spec, b, b). Raises
     ValueError if roundoff alone cannot explain a negative value, since
     that means the kernel is not positive semidefinite here.
     """
@@ -172,7 +173,7 @@ def feature_sq_dist(spec: KernelSpec, a, b, gram_a=None):
         raise ValueError("kernel inputs must be d-vectors or (n, d) batches")
     a, b = _batch(a), _batch(b)
     kaa = mean_gram(spec, a, a) if gram_a is None else gram_a
-    kbb = mean_gram(spec, b, b)
+    kbb = mean_gram(spec, b, b) if gram_b is None else gram_b
     v = kaa - 2.0 * mean_gram(spec, a, b) + kbb
     return _psd_checked(v, float(kaa.value) + float(kbb.value))
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from mmgan.kernel import KernelSpec, feature_sq_dist, kernel_radius
 from mmgan.manifold import centroid, radius
-from mmgan.neural import accepts_arrays
+from mmgan.neural import accepts_arrays, node
 from mmgan.regularizer import r_g
 
 __all__ = [
@@ -107,15 +107,30 @@ class GeneratorTerms:
 @accepts_arrays
 def l_orig(d_real, d_fake):
     """mean log D(real) + mean log(1 - D(fake)), probabilities clamped to
-    [1e-7, 1 - 1e-7] so the logs stay finite."""
+    [1e-7, 1 - 1e-7] so the logs stay finite.
+
+    One graph node with a hand-written vector-Jacobian product; a
+    probability outside the open clamp interval gets gradient 0.
+    """
     for name, x in (("d_real", d_real), ("d_fake", d_fake)):
         if x.value.size < 1:
             raise ValueError(f"{name} is empty")
         if x.value.min() < 0.0 or x.value.max() > 1.0:
             raise ValueError(f"{name} must hold probabilities in [0, 1]")
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
-    return (d_real.clamp(lo, hi).log().mean()
-            + (1.0 - d_fake.clamp(lo, hi)).log().mean())
+    r, f = d_real.value, d_fake.value
+    cr, cf1 = np.clip(r, lo, hi), 1.0 - np.clip(f, lo, hi)
+    value = np.log(cr).sum() / r.size + np.log(cf1).sum() / f.size
+
+    def vjp(g):
+        gr = gf = None
+        if d_real.requires_grad:
+            gr = (g / r.size) / cr * ((r > lo) & (r < hi))
+        if d_fake.requires_grad:
+            gf = -((g / f.size) / cf1) * ((f > lo) & (f < hi))
+        return gr, gf
+
+    return node(value, (d_real, d_fake), vjp)
 
 
 def l_d_final(d_real, d_fake):
@@ -163,12 +178,13 @@ def rg_penalty(score_real, score_fake):
 def generator_terms(cfg: LossConfig, reps_real, reps_fake, *,
                     c_real=None, c_fake=None,
                     radius_real=None, radius_fake=None,
-                    gram_real=None) -> GeneratorTerms:
+                    gram_real=None, gram_fake=None) -> GeneratorTerms:
     """Build the decomposed generator objective.
 
     Statistics left as None default to the mini-batch values of the
     matching convention; the trainer passes moving-average blends instead,
-    and the real batch's mean Gram gram_real it has already built.
+    and the mean Grams gram_real and gram_fake of the two batches it has
+    already built.
     The centroids c_real and c_fake are input-space points and shape the
     plain loss only; the kernelized centroid gap always compares the two
     batches' mean embeddings.
@@ -180,12 +196,13 @@ def generator_terms(cfg: LossConfig, reps_real, reps_fake, *,
     if radius_real is None:
         radius_real = batch_radius(cfg.kernel, reps_real, c_real, gram_real)
     if radius_fake is None:
-        radius_fake = batch_radius(cfg.kernel, reps_fake, c_fake)
+        radius_fake = batch_radius(cfg.kernel, reps_fake, c_fake, gram_fake)
     if cfg.kernel is None:
         diff = c_real - c_fake
         manifold = (diff * diff).sum().sqrt()
     else:
-        manifold = feature_sq_dist(cfg.kernel, reps_real, reps_fake, gram_real)
+        manifold = feature_sq_dist(cfg.kernel, reps_real, reps_fake,
+                                   gram_real, gram_fake)
     radius = (radius_real - radius_fake).abs()
     # alpha belongs to the kernelized radius gap only; the plain-space form
     # is an unweighted sum

@@ -3,18 +3,29 @@
 Every differentiable quantity in this package is a `Tensor`: a value array
 together with the recipe (parents + vector-Jacobian product) needed to push
 gradients backward. Graphs are built implicitly by arithmetic and consumed
-once by `backward`. Gradients are accumulated in a dict keyed by node, never
-stored on the nodes themselves, so parameter tensors can live across many
-steps without any zero_grad bookkeeping. Values that are never
-differentiated run the same ops inside `no_grad()`, which records no
-recipe. A network layer is one node: affine map plus activation.
+once by `backward`. Every Tensor is numbered when it is made, and a node
+is always made after its parents, so creation order is a topological
+order: `backward` walks the reachable nodes newest first, with no search
+for an order (a Wengert tape). Gradients are accumulated in a dict keyed
+by node, never stored on the nodes themselves, so parameter tensors can
+live across many steps without any zero_grad bookkeeping. Values that are
+never differentiated run the same ops inside `no_grad()`, which records
+no recipe.
+
+Some ops are single nodes with a hand-written vector-Jacobian product
+instead of a chain of small ops: a network layer (affine map plus
+activation) here, and elsewhere the mean Gram of two batches, the
+correlation penalty r_g and the classification loss l_orig. A layer, r_g
+and l_orig give the bits their formulas give in composed ops.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from contextlib import contextmanager
+from operator import attrgetter
 
 import numpy as np
 
@@ -56,6 +67,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 # False inside no_grad(): ops then record no recipe
 _recording = True
+# creation numbers: a node's is above each of its parents'
+_seq = itertools.count()
 
 
 @contextmanager
@@ -104,9 +117,10 @@ class Tensor:
     `value` is always a float64 ndarray. Leaf nodes are made with
     `constant` or `parameter`; everything else comes from the ops below.
     Shapes follow numpy broadcasting; matmul is restricted to 2-D operands.
+    `seq` numbers the Tensors in the order they are made.
     """
 
-    __slots__ = ("value", "parents", "vjp", "requires_grad")
+    __slots__ = ("value", "parents", "vjp", "requires_grad", "seq")
 
     # Keep numpy from intercepting `ndarray <op> Tensor`; we want the
     # reflected Tensor operator instead of elementwise object math.
@@ -117,6 +131,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.parents = parents
         self.vjp = vjp
+        self.seq = next(_seq)
 
     # -- basics --------------------------------------------------------
 
@@ -320,31 +335,26 @@ def accepts_arrays(fn):
 def topo_order(root: Tensor) -> list:
     """Gradient-reachable nodes of `root`'s graph, parents before children.
 
-    Only requires_grad nodes are walked. Raises ValueError if the parent
-    links contain a cycle (possible only through manual graph surgery, but
-    cheap to guard against).
+    Only requires_grad nodes are collected; they come back in creation
+    order, which puts every parent before its children. Raises ValueError
+    if a parent is not older than its child, as in any cycle of parent
+    links: only manual graph surgery can make one, but it is cheap to
+    guard against.
     """
-    order: list = []
-    state: dict = {}  # id -> 0 on stack, 1 finished
-    stack = [(root, False)]
+    seen = {id(root): root}
+    stack = [root]
     while stack:
-        node, ready = stack.pop()
-        nid = id(node)
-        if ready:
-            state[nid] = 1
-            order.append(node)
-            continue
-        st = state.get(nid)
-        if st == 1:
-            continue
-        if st == 0:
-            raise ValueError("cycle detected in computation graph")
-        state[nid] = 0
-        stack.append((node, True))
-        for p in node.parents:
-            if p.requires_grad and state.get(id(p)) != 1:
-                stack.append((p, False))
-    return order
+        child = stack.pop()
+        for p in child.parents:
+            if not p.requires_grad:
+                continue
+            if p.seq >= child.seq:
+                raise ValueError("cycle detected in computation graph: "
+                                 "a parent is not older than its child")
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return sorted(seen.values(), key=attrgetter("seq"))
 
 
 def backward(loss: Tensor) -> dict:

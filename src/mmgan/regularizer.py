@@ -10,6 +10,12 @@ Rows are normalized by max(||row - mean||, eps) rather than by a variance
 with eps added inside, so the diagonal of A is exactly 1 for any
 non-degenerate row and the penalty is exactly 0 on decorrelated input.
 
+r_g is one graph node with a hand-written vector-Jacobian product: the
+n x n matrix costs no per-entry graph bookkeeping. Its value is the bits
+the same formula gives in composed Tensor ops, and its gradient takes
+their subgradients: a row whose norm sits at the eps clamp passes no
+gradient through its norm, and at r_g == 0 the gradient is 0.
+
 The generator objective does not use r_g raw: loss.rg_penalty divides it
 by the ceiling sqrt(n^2 - n) and charges only the excess of the fake batch
 over the real one, since rows of real data from one mode are nearly
@@ -20,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from mmgan.neural import accepts_arrays
+from mmgan.neural import accepts_arrays, node
 
 __all__ = ["r_g", "EPS"]
 
@@ -37,9 +43,24 @@ def r_g(reps, eps: float = EPS):
     v = reps.value
     if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
         raise ValueError(f"need at least 2 rows and 2 columns, got {v.shape}")
-    centered = reps - reps.mean(axis=1, keepdims=True)
-    sq = (centered * centered).sum(axis=1, keepdims=True)
-    unit = centered / sq.sqrt().clamp_min(eps)
-    a = unit @ unit.T
-    diff = np.eye(v.shape[0]) - a
-    return (diff * diff).sum().sqrt()
+    n, d = v.shape
+    centered = v - v.sum(axis=1, keepdims=True) / d
+    norm = np.sqrt((centered * centered).sum(axis=1, keepdims=True))
+    den = np.maximum(norm, eps)
+    unit = centered / den
+    diff = np.eye(n) - unit @ unit.T
+    out = np.sqrt((diff * diff).sum())
+
+    def vjp(g):
+        if out == 0.0:  # subgradient 0 at the minimum, rather than 0/0
+            return (np.zeros_like(v),)
+        # d out / d A = -diff / out; A = unit unit^T
+        ga = diff * (-g / out)
+        gu = (ga + ga.T) @ unit
+        # unit = centered / den, with den = norm only off the clamp
+        gden = -(gu * centered).sum(axis=1, keepdims=True) / (den * den)
+        gc = gu / den + centered * np.where(norm > eps, gden / den, 0.0)
+        # centered = v - row mean
+        return (gc - gc.sum(axis=1, keepdims=True) / d,)
+
+    return node(out, (reps,), vjp)

@@ -14,8 +14,8 @@ Each step runs, in this exact order:
      pre-update fake tracker with the current mini-batch statistic.
 
 Each value is computed once per step and shared: G's forward, D's pass
-over the fakes, the real batch's mean Gram (the real radius and the MMD^2
-both read it) and the fake batch's rg_score (the penalty and the report).
+over the fakes, each batch's mean Gram (its radius and the MMD^2 both read
+it) and the fake batch's rg_score (the penalty and the report).
 
 The blend delta * stop_grad(tracked) + (1 - delta) * mini keeps gradients
 flowing through the mini-batch term only, and the tracker state after step
@@ -102,12 +102,14 @@ class TrainResult:
 @dataclass
 class MatchStats:
     """What the generator step reads of one tracker refresh: the real
-    tracker's state, whose values enter as constants; the real batch's
-    mean Gram K_rr (None in plain space), which the MMD^2 reuses; and the
-    blended fake (centroid, radius) nodes (centroid None with a kernel)."""
+    tracker's state, whose values enter as constants; the mean Grams K_rr
+    and K_ff of the two batches (None in plain space), which the MMD^2
+    reuses; and the blended fake (centroid, radius) nodes (centroid None
+    with a kernel)."""
 
     real: SphereManifold
     gram_real: Tensor | None
+    gram_fake: Tensor | None
     c_fake: Tensor | None
     r_fake: Tensor
 
@@ -141,13 +143,16 @@ def update_trackers(spec: KernelSpec | None, feat_real: np.ndarray,
     With a kernel the loss reads no centroid, and none is computed.
     """
     real = constant(feat_real)
-    gram_real = None if spec is None else mean_gram(spec, real, real)
+    gram_real = gram_fake = None
+    if spec is not None:
+        gram_real = mean_gram(spec, real, real)
+        gram_fake = mean_gram(spec, feat_fake, feat_fake)
     c = centroid(feat_real) if spec is None else None
     tracker_update(real_tracker, c, batch_radius(spec, real, c, gram_real).item())
     c = centroid(feat_fake) if spec is None else None
     c_fake, r_fake = tracker_update(fake_tracker, c,
-                                    batch_radius(spec, feat_fake, c))
-    return MatchStats(real_tracker.current, gram_real, c_fake, r_fake)
+                                    batch_radius(spec, feat_fake, c, gram_fake))
+    return MatchStats(real_tracker.current, gram_real, gram_fake, c_fake, r_fake)
 
 
 def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: np.ndarray,
@@ -174,7 +179,8 @@ def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: np.ndarray,
     terms = generator_terms(
         lc, feat_real, feat_fake, c_real=stats.real.centroid,
         c_fake=stats.c_fake, radius_real=stats.real.radius,
-        radius_fake=stats.r_fake, gram_real=stats.gram_real)
+        radius_fake=stats.r_fake, gram_real=stats.gram_real,
+        gram_fake=stats.gram_fake)
     opt_g.step(gradients(terms.total, opt_g.params))
     rg = (rg_score(feat_fake.value) if terms.rg_fake is None
           else terms.rg_fake.item())

@@ -4,6 +4,11 @@ Deliberately implementation-naive: central finite differences, brute-force
 loops, and hand algebra only. Nothing here imports the package's autodiff
 machinery, so agreement between these and the real code is evidence, not
 tautology.
+
+The composed references at the end take Tensors and write a fused graph
+node's formula as a chain of primitive Tensor ops, each with its own
+tested vector-Jacobian product: the hand-written VJP of the fused node
+must agree with theirs.
 """
 
 import numpy as np
@@ -96,3 +101,22 @@ def kernel_eval(spec, a, b):
     if spec.kind == "rbf":
         return float(np.exp(-gamma * sq))
     return float(np.exp(-gamma * np.sqrt(sq)))  # exp kernel, euclidean not squared
+
+
+def composed_r_g(reps, eps: float):
+    """regularizer.r_g in primitive Tensor ops: ||I - A||_F with A the
+    row correlations, each row normalized by max(||row - mean||, eps)."""
+    centered = reps - reps.mean(axis=1, keepdims=True)
+    sq = (centered * centered).sum(axis=1, keepdims=True)
+    unit = centered / sq.sqrt().clamp_min(eps)
+    a = unit @ unit.T
+    diff = np.eye(reps.value.shape[0]) - a
+    return (diff * diff).sum().sqrt()
+
+
+def composed_l_orig(d_real, d_fake, clamp: float):
+    """loss.l_orig in primitive Tensor ops: mean log D(real) +
+    mean log(1 - D(fake)), probabilities clamped to [clamp, 1 - clamp]."""
+    lo, hi = clamp, 1.0 - clamp
+    return (d_real.clamp(lo, hi).log().mean()
+            + (1.0 - d_fake.clamp(lo, hi)).log().mean())

@@ -143,6 +143,16 @@ def test_train_rejects_bad_numeric_flag(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_kernel_choices_in_help(capsys):
+    # training rejects poly, so train's --kernel does not offer it;
+    # gradcheck still checks its gradients
+    for command, choices in (("train", "{none,linear,rbf,exp}"),
+                             ("gradcheck", "{none,linear,rbf,exp,poly}")):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"--kernel {choices}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("line", [
     "momentum_g = 1.0", "momentum_d = -0.5", "g_out_activation = foo",
     "d_hidden = 64,1", "d_hidden =", "g_hidden = 0", "kernel = poly",

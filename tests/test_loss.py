@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mmgan.kernel import KernelSpec
 from mmgan.loss import (
@@ -14,7 +16,7 @@ from mmgan.loss import (
 )
 from mmgan.neural import constant, gradients, parameter
 from mmgan.regularizer import r_g
-from oracles import fd_gradients, max_rel_err
+from oracles import composed_l_orig, fd_gradients, max_rel_err, rel_err
 
 
 def test_l_orig_hand_computed():
@@ -52,6 +54,37 @@ def test_l_orig_graph_path_matches_and_differentiates():
         lambda: l_orig(logits.sigmoid(), (logits * 0.5).sigmoid()).item(),
         {"logits": logits.value}, h=1e-5)
     assert max_rel_err(analytic, numeric) < 1e-4
+
+
+# probabilities with the clamp's edges and the saturated ends drawn often
+PROBS = hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(1)),
+                   elements=st.one_of(
+                       st.sampled_from([0.0, 1.0, PROB_CLAMP, 1.0 - PROB_CLAMP]),
+                       st.floats(0.0, 1.0)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(PROBS, PROBS)
+def test_fused_l_orig_matches_composed_ops(d_real, d_fake):
+    # one node with a hand-written VJP: the composed ops' bits, and their
+    # gradient
+    assert (l_orig(d_real, d_fake)
+            == composed_l_orig(constant(d_real), constant(d_fake), PROB_CLAMP).item())
+    fused = {"r": parameter(d_real), "f": parameter(d_fake)}
+    composed = {"r": parameter(d_real), "f": parameter(d_fake)}
+    g_fused = gradients(l_orig(fused["r"], fused["f"]), fused)
+    g_composed = gradients(
+        composed_l_orig(composed["r"], composed["f"], PROB_CLAMP), composed)
+    for name in fused:
+        assert rel_err(g_fused[name], g_composed[name]) < 1e-9
+
+
+def test_fused_l_orig_gradient_is_zero_outside_the_open_clamp():
+    edges = np.array([[0.0], [PROB_CLAMP], [1.0 - PROB_CLAMP], [1.0]])
+    params = {"r": parameter(edges), "f": parameter(edges)}
+    g = gradients(l_orig(params["r"], params["f"]), params)
+    assert np.array_equal(g["r"], np.zeros_like(edges))
+    assert np.array_equal(g["f"], np.zeros_like(edges))
 
 
 def test_bce_is_negated_l_orig():

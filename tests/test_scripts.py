@@ -1,14 +1,62 @@
-"""scripts/run_ring8.py runs the protocol the acceptance tests judge."""
+"""The scripts under scripts/: run_ring8.py runs the protocol the
+acceptance tests judge, bench.py writes the BENCH_<label>.json record."""
 import importlib.util
+import json
 from pathlib import Path
 
 import test_acceptance
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_ring8.py"
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 def test_run_ring8_arms_match_acceptance_protocol():
-    spec = importlib.util.spec_from_file_location("run_ring8", SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.ARMS == test_acceptance.ARMS
+    assert load_script("run_ring8").ARMS == test_acceptance.ARMS
+
+
+MACHINE = {"nproc": 2, "numpy": "2.4.6", "blas": {"name": "openblas"}}
+
+
+def metric(value, unit):
+    return {"value": value, "unit": unit}
+
+
+def test_bench_assembles_the_record_from_perfbench_stdout():
+    bench = load_script("bench")
+    end_to_end = {"correct": True, "attempted": 48, "failed": 0, "metrics": {
+        "ring8_matcher.train_steps_per_s": metric(563.1, "steps/s"),
+        "gradcheck.peak_rss_mb": metric(39.2, "MB")}}
+    e2e_stdout = "\n".join([
+        "ring8_matcher host: {}",
+        f"ring8_matcher machine: {json.dumps(MACHINE)}",
+        "ring8_matcher train_steps_per_s: 563.1 steps/s",
+        f"idx_baseline machine: {json.dumps(dict(MACHINE, nproc=8))}",
+        "ops_failed_frac: 0.0 ratio (0/48)",
+        json.dumps(end_to_end)])
+    traced = {name: metric(float(i), "count")
+              for i, name in enumerate(bench.COUNTERS)}
+    traced["neural.backward.ms"] = metric(0.49, "ms")
+    counters_stdout = "\n".join([
+        f"machine: {json.dumps(MACHINE)}",
+        json.dumps({"correct": True, "attempted": 6, "failed": 0,
+                    "metrics": traced})])
+    record = bench.assemble("pr8", {"commit": None, "parent": "abc1234"},
+                            e2e_stdout, counters_stdout)
+    # the schema of the committed BENCH files
+    assert list(record) == ["label", "commit", "parent", "commands", "machine",
+                            "end_to_end", "ring8_matcher_counters"]
+    assert record["label"] == "pr8" and record["parent"] == "abc1234"
+    assert record["machine"] == MACHINE
+    assert record["end_to_end"] == end_to_end
+    assert record["ring8_matcher_counters"] == {
+        name: metric(float(i), "count") for i, name in enumerate(bench.COUNTERS)}
+    committed = json.loads((SCRIPTS.parent / "BENCH_pr6.json").read_text())
+    assert record["commands"] == committed["commands"]
+    assert set(record["ring8_matcher_counters"]) == set(
+        committed["ring8_matcher_counters"])

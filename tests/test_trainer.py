@@ -3,13 +3,15 @@ import pytest
 
 import mmgan.kernel as kernel_mod
 import mmgan.loss as loss_mod
+import mmgan.neural as neural_mod
 import mmgan.trainer as trainer_mod
 from mmgan.config import RunConfig
 from mmgan.data import DatasetHandle, make_dataset
 from mmgan.kernel import KernelSpec, kernel_radius
 from mmgan.loss import batch_radius, rg_score
 from mmgan.manifold import ManifoldTracker, SphereManifold, centroid, tracker_update
-from mmgan.neural import Network, NumericalError, SGD, gradients, parameter
+from mmgan.neural import (Network, NumericalError, SGD, Tensor, gradients,
+                          parameter)
 from mmgan.trainer import (
     TrainResult,
     d_step,
@@ -199,19 +201,19 @@ def test_numerical_error_carries_step_index(monkeypatch):
         train(tiny_cfg(steps=5), make_dataset("ring8"))
 
 
-@pytest.mark.parametrize("keys, per_step", [
+@pytest.mark.parametrize("keys, per_step, backward_nodes, tensors", [
     (dict(kernel="rbf", beta=1.0),
-     dict(forward=5, mean_gram=4, kernel_radius=2, r_g=2)),
+     dict(forward=5, mean_gram=3, kernel_radius=2, r_g=2), [10, 29], 50),
     (dict(kernel="rbf", beta=0.0),
-     dict(forward=5, mean_gram=4, kernel_radius=2, r_g=1)),
+     dict(forward=5, mean_gram=3, kernel_radius=2, r_g=1), [10, 23], 44),
     (dict(baseline=True),
-     dict(forward=5, mean_gram=0, kernel_radius=0, r_g=1)),
+     dict(forward=5, mean_gram=0, kernel_radius=0, r_g=1), [10, 17], 46),
 ], ids=["rbf", "rbf-beta0", "baseline"])
-def test_work_per_step(monkeypatch, keys, per_step):
+def test_work_per_step(monkeypatch, keys, per_step, backward_nodes, tensors):
     # each quantity is computed once per step: one G forward, one D pass
-    # over each batch before and after D's update, K_rr shared by the real
-    # radius and the MMD^2, and the fake rg_score shared by the penalty and
-    # the report
+    # over each batch before and after D's update, each batch's mean Gram
+    # shared by its radius and the MMD^2, and the fake rg_score shared by
+    # the penalty and the report; r_g and l_orig are one node each
     counts = dict.fromkeys(per_step, 0)
 
     def count(owner, name, key):
@@ -229,9 +231,36 @@ def test_work_per_step(monkeypatch, keys, per_step):
     count(trainer_mod, "mean_gram", "mean_gram")
     count(loss_mod, "kernel_radius", "kernel_radius")
     count(loss_mod, "r_g", "r_g")
+
+    # graph size: the nodes of each backward (D's, then G's), and the
+    # Tensors made from one step's start to the next
+    sizes, made, step_starts = [], [0], []
+    orig_topo, orig_init, orig_d = (neural_mod.topo_order, Tensor.__init__,
+                                    trainer_mod.d_step)
+
+    def spy_topo(root):
+        order = orig_topo(root)
+        sizes.append(len(order))
+        return order
+
+    def spy_init(self, *a, **k):
+        made[0] += 1
+        orig_init(self, *a, **k)
+
+    def spy_d(*a):
+        step_starts.append(made[0])
+        return orig_d(*a)
+
+    monkeypatch.setattr(neural_mod, "topo_order", spy_topo)
+    monkeypatch.setattr(Tensor, "__init__", spy_init)
+    monkeypatch.setattr(trainer_mod, "d_step", spy_d)
     steps = 3
     train(tiny_cfg(steps=steps, **keys), make_dataset("ring8"))
     assert counts == {key: n * steps for key, n in per_step.items()}
+    # from the second step on, when the trackers blend in history
+    assert sizes[2:] == backward_nodes * (steps - 1)
+    step_starts.append(made[0])
+    assert np.diff(step_starts)[1:].tolist() == [tensors] * (steps - 1)
 
 
 def test_shared_values_equal_a_fresh_value_pass(monkeypatch):
