@@ -269,11 +269,11 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    alpha = 1.0 if args.alpha is None else args.alpha
-    beta = 1.0 if args.beta is None else args.beta
-    seed = 0 if args.seed is None else args.seed
-    rows = run_suite(names, alpha=alpha, beta=beta, gamma=args.gamma,
-                     seed=seed, inject_fault=args.inject_fault)
+    # only the flags given: run_suite owns the defaults
+    given = {key: getattr(args, key)
+             for key in ("alpha", "beta", "gamma", "seed")
+             if getattr(args, key) is not None}
+    rows = run_suite(names, inject_fault=args.inject_fault, **given)
     width = max(len(name) for name, _, _ in rows)
     for name, err, ok in rows:
         print(f"{name:<{width}}  {err:.3e}  {'ok' if ok else 'FAIL'}")

@@ -22,8 +22,7 @@ __all__ = ["RunConfig", "DATASETS", "KERNEL_CHOICES", "TRAIN_KERNELS",
            "OUT_ENV", "parse_config_text", "manifest_text", "resolve_out_dir"]
 
 DATASETS = ("ring8", "grid25", "rings2", "idx")
-KERNEL_CHOICES = ("none",) + tuple(k if k != "polynomial" else "poly"
-                                   for k in KERNEL_KINDS)
+KERNEL_CHOICES = ("none", *KERNEL_KINDS)
 # poly's values grow with D's features until the statistics overflow: at
 # the defaults every seed tried aborted within 150 steps. gradcheck keeps it.
 TRAIN_KERNELS = tuple(k for k in KERNEL_CHOICES if k != "poly")
@@ -93,7 +92,7 @@ class RunConfig:
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive, "
                                  f"got {getattr(self, key)}")
-        for key in ("momentum_g", "momentum_d"):
+        for key in ("delta", "momentum_g", "momentum_d"):
             if not 0.0 <= getattr(self, key) < 1.0:
                 raise ValueError(f"{key} must be in [0, 1), "
                                  f"got {getattr(self, key)}")
@@ -112,8 +111,7 @@ class RunConfig:
     def loss_config(self) -> LossConfig:
         kernel = (None if self.kernel == "none"
                   else KernelSpec(self.kernel, gamma=self.gamma))
-        return LossConfig(alpha=self.alpha, beta=self.beta, delta=self.delta,
-                          kernel=kernel)
+        return LossConfig(alpha=self.alpha, beta=self.beta, kernel=kernel)
 
     def load_dataset(self) -> DatasetHandle:
         if self.dataset == "idx":

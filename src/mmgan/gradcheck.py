@@ -56,8 +56,7 @@ def _config(name: str, alpha: float, beta: float,
     if base not in BASES or (tail and tail != "rg"):
         raise ValueError(f"unknown variant {name!r}")
     kernel = None if base == "plain" else KernelSpec(base, gamma=gamma)
-    return LossConfig(alpha=alpha, beta=beta if tail else 0.0,
-                      delta=0.9, kernel=kernel)
+    return LossConfig(alpha=alpha, beta=beta if tail else 0.0, kernel=kernel)
 
 
 def _build(seed: int) -> tuple:

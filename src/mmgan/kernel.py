@@ -31,7 +31,7 @@ __all__ = [
     "kernel_radius",
 ]
 
-KERNEL_KINDS = ("linear", "rbf", "exp", "polynomial")
+KERNEL_KINDS = ("linear", "rbf", "exp", "poly")
 
 # below this, relative to the kernel values it is made of, a kernel-trick
 # squared distance is a bug, not roundoff
@@ -43,8 +43,7 @@ class KernelSpec:
     """Kernel family plus hyperparameters.
 
     gamma=None means "resolve to 1/d from the input dimension at call time"
-    (rbf and exp only; ignored elsewhere). "poly" is accepted as an alias
-    for "polynomial".
+    (rbf and exp only; ignored elsewhere).
     """
 
     kind: str
@@ -53,9 +52,7 @@ class KernelSpec:
     coef0: float = 1.0
 
     def __post_init__(self):
-        kind = "polynomial" if self.kind == "poly" else self.kind
-        object.__setattr__(self, "kind", kind)
-        if kind not in KERNEL_KINDS:
+        if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
@@ -74,7 +71,7 @@ def kernel_self_batch(spec: KernelSpec, points):
         raise ValueError(f"expected (n, d) points, got {points.value.shape}")
     if spec.kind == "linear":
         return (points * points).sum(axis=1)
-    if spec.kind == "polynomial":
+    if spec.kind == "poly":
         return ((points * points).sum(axis=1) + spec.coef0) ** spec.degree
     return constant(np.ones(points.value.shape[0]))
 
@@ -99,7 +96,7 @@ def mean_gram(spec: KernelSpec, a, b):
             or va.shape[0] < 1 or vb.shape[0] < 1):
         raise ValueError(f"incompatible batches {va.shape} and {vb.shape}")
     w = 1.0 / (va.shape[0] * vb.shape[0])
-    if spec.kind in ("linear", "polynomial"):
+    if spec.kind in ("linear", "poly"):
         dots = va @ vb.T
         if spec.kind == "linear":
             k, slope = dots, np.ones_like(dots)

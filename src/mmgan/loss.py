@@ -1,10 +1,11 @@
 """Assembly of generator and discriminator objectives, each written once
 in Tensor ops: graph Tensors in give nodes, numpy arrays in give floats.
 
-Two radius conventions coexist and must never be mixed: the plain-space
-sphere radius is a mean of distances, while the kernelized radius is a mean
-of squared feature-space distances. Which one a loss uses is decided solely
-by whether its config carries a kernel.
+`batch_stats` alone decides which statistics of a batch each geometry
+compares. Two radius conventions coexist and must never be mixed: the
+plain-space sphere radius is a mean of distances, while the kernelized
+radius is a mean of squared feature-space distances. Which one a loss uses
+is decided solely by whether its config carries a kernel.
 
 The generator objective is
     manifold_term + alpha * radius_term + beta * rg_penalty(real, fake reps)
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmgan.kernel import KernelSpec, feature_sq_dist, kernel_radius
+from mmgan.kernel import KernelSpec, feature_sq_dist, kernel_radius, mean_gram
 from mmgan.manifold import centroid, radius
 from mmgan.neural import accepts_arrays, node
 from mmgan.regularizer import r_g
@@ -46,7 +47,7 @@ __all__ = [
     "LossReport",
     "GeneratorTerms",
     "l_orig",
-    "batch_radius",
+    "batch_stats",
     "rg_score",
     "rg_penalty",
     "generator_terms",
@@ -65,14 +66,11 @@ class LossConfig:
 
     alpha: float = 1.0
     beta: float = 1.0
-    delta: float = 0.9
     kernel: KernelSpec | None = None
 
     def __post_init__(self):
         if not (self.alpha >= 0 and self.beta >= 0):
             raise ValueError("alpha and beta must be non-negative")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError(f"delta must be in [0, 1), got {self.delta}")
         if self.kernel is not None and not isinstance(self.kernel, KernelSpec):
             raise ValueError("kernel must be a KernelSpec or None")
 
@@ -140,15 +138,21 @@ def l_d_final(d_real, d_fake):
     return -l_orig(d_real, d_fake)
 
 
-@accepts_arrays
-def batch_radius(spec: KernelSpec | None, reps, c, gram=None):
-    """Radius of a batch under the convention spec selects: mean distance
-    to c when spec is None; else mean squared feature distance to the
-    batch's own mean embedding, which c (an input-space point) is not.
-    gram, if given, is the batch's already built mean Gram."""
+def batch_stats(spec: KernelSpec | None, reps) -> tuple:
+    """(centroid, radius, mean_gram) of one batch of representations under
+    the geometry spec selects, as Tensors.
+
+    In plain space (spec None): the centroid, the mean distance to it, and
+    no Gram. With a kernel: no centroid, since a batch's centroid is then
+    its mean embedding, which has no finite coordinates; the mean squared
+    feature distance to it; and the mean Gram <mu, mu>, the one node that
+    both the radius and the MMD^2 read.
+    """
     if spec is None:
-        return radius(reps, c)
-    return kernel_radius(spec, reps, gram)
+        c = centroid(reps)
+        return c, radius(reps, c), None
+    gram = mean_gram(spec, reps, reps)
+    return None, kernel_radius(spec, reps, gram), gram
 
 
 @accepts_arrays
@@ -175,28 +179,21 @@ def rg_penalty(score_real, score_fake):
 
 
 @accepts_arrays
-def generator_terms(cfg: LossConfig, reps_real, reps_fake, *,
-                    c_real=None, c_fake=None,
-                    radius_real=None, radius_fake=None,
-                    gram_real=None, gram_fake=None) -> GeneratorTerms:
+def generator_terms(cfg: LossConfig, reps_real, reps_fake,
+                    real=None, fake=None) -> GeneratorTerms:
     """Build the decomposed generator objective.
 
-    Statistics left as None default to the mini-batch values of the
-    matching convention; the trainer passes moving-average blends instead,
-    and the mean Grams gram_real and gram_fake of the two batches it has
-    already built.
-    The centroids c_real and c_fake are input-space points and shape the
-    plain loss only; the kernelized centroid gap always compares the two
-    batches' mean embeddings.
+    real and fake are each a batch's (centroid, radius, mean_gram) triple
+    in the form `batch_stats` returns; None means that batch's own
+    mini-batch statistics. The trainer passes moving-average blends of the
+    centroid and radius instead, with the mean Grams it has already built.
+    The centroids shape the plain loss only; the kernelized centroid gap
+    always compares the two batches' mean embeddings.
     """
-    if cfg.kernel is None and c_real is None:
-        c_real = centroid(reps_real)
-    if cfg.kernel is None and c_fake is None:
-        c_fake = centroid(reps_fake)
-    if radius_real is None:
-        radius_real = batch_radius(cfg.kernel, reps_real, c_real, gram_real)
-    if radius_fake is None:
-        radius_fake = batch_radius(cfg.kernel, reps_fake, c_fake, gram_fake)
+    c_real, radius_real, gram_real = (batch_stats(cfg.kernel, reps_real)
+                                      if real is None else real)
+    c_fake, radius_fake, gram_fake = (batch_stats(cfg.kernel, reps_fake)
+                                      if fake is None else fake)
     if cfg.kernel is None:
         diff = c_real - c_fake
         manifold = (diff * diff).sum().sqrt()

@@ -21,8 +21,10 @@ The blend delta * stop_grad(tracked) + (1 - delta) * mini keeps gradients
 flowing through the mini-batch term only, and the tracker state after step
 3 is the blend's value: one fold (`manifold.tracker_update`) computes both.
 A tracker that has not seen any batch yet contributes nothing: the raw
-mini-batch statistic is used. With a kernel the trackers keep the radius
-alone, since the kernelized loss reads no centroid.
+mini-batch statistic is used. The trainer knows no geometry: which
+statistics a batch contributes is `loss.batch_stats`'s decision (with a
+kernel, the radius and the mean Gram but no centroid), and the trackers
+fold whatever it returns.
 
 After each generator update its parameters are folded into an exponential
 moving average, and that average is the generator a run evaluates and
@@ -45,18 +47,17 @@ import numpy as np
 
 from mmgan.config import RunConfig
 from mmgan.data import DatasetHandle, sample_batch
-from mmgan.kernel import KernelSpec, mean_gram
+from mmgan.kernel import KernelSpec
 from mmgan.loss import (
     LossConfig,
     LossReport,
-    batch_radius,
+    batch_stats,
     generator_terms,
     l_d_final,
     rg_score,
     PROB_CLAMP,
 )
-from mmgan.manifold import (ManifoldTracker, SphereManifold, centroid,
-                            estimate, tracker_update)
+from mmgan.manifold import ManifoldTracker, estimate, tracker_update
 from mmgan.metrics import MetricsRow, manifold_gap, mode_coverage
 from mmgan.neural import (
     Layer,
@@ -78,7 +79,6 @@ __all__ = [
     "d_step",
     "g_step",
     "update_trackers",
-    "MatchStats",
 ]
 
 _EVAL_STREAM_TAG = 59297
@@ -99,21 +99,6 @@ class TrainResult:
     fake_tracker: ManifoldTracker
 
 
-@dataclass
-class MatchStats:
-    """What the generator step reads of one tracker refresh: the real
-    tracker's state, whose values enter as constants; the mean Grams K_rr
-    and K_ff of the two batches (None in plain space), which the MMD^2
-    reuses; and the blended fake (centroid, radius) nodes (centroid None
-    with a kernel)."""
-
-    real: SphereManifold
-    gram_real: Tensor | None
-    gram_fake: Tensor | None
-    c_fake: Tensor | None
-    r_fake: Tensor
-
-
 def d_step(g_net: Network, d_net: Network, opt_d: SGD,
            x: np.ndarray, z: np.ndarray) -> tuple:
     """One discriminator update on the classification loss, the same in
@@ -132,36 +117,30 @@ def d_step(g_net: Network, d_net: Network, opt_d: SGD,
 
 def update_trackers(spec: KernelSpec | None, feat_real: np.ndarray,
                     feat_fake: Tensor, real_tracker: ManifoldTracker,
-                    fake_tracker: ManifoldTracker) -> MatchStats:
-    """Fold this batch's statistics, measured with the updated
-    discriminator under the radius convention spec selects, into both
-    trackers, and return what g_step reads of them.
+                    fake_tracker: ManifoldTracker) -> tuple:
+    """Fold this batch's statistics (`loss.batch_stats`), measured with the
+    updated discriminator in the geometry spec selects, into both trackers,
+    and return the two blended (centroid, radius, mean_gram) triples that
+    g_step reads, real first.
 
-    feat_real holds the real features as values, feat_fake the fake ones
-    as the graph node g_step differentiates: the fake tracker folds in the
-    mini-batch nodes, so its state is the value of the blend g_step reads.
-    With a kernel the loss reads no centroid, and none is computed.
+    feat_real holds the real features as values, and the real radius is
+    folded as a value; feat_fake holds the fake ones as the graph node
+    g_step differentiates, so the fake tracker folds in the mini-batch
+    nodes and its state is the value of the blend g_step reads.
     """
-    real = constant(feat_real)
-    gram_real = gram_fake = None
-    if spec is not None:
-        gram_real = mean_gram(spec, real, real)
-        gram_fake = mean_gram(spec, feat_fake, feat_fake)
-    c = centroid(feat_real) if spec is None else None
-    tracker_update(real_tracker, c, batch_radius(spec, real, c, gram_real).item())
-    c = centroid(feat_fake) if spec is None else None
-    c_fake, r_fake = tracker_update(fake_tracker, c,
-                                    batch_radius(spec, feat_fake, c, gram_fake))
-    return MatchStats(real_tracker.current, gram_real, gram_fake, c_fake, r_fake)
+    c, r, gram = batch_stats(spec, constant(feat_real))
+    real = (*tracker_update(real_tracker, c, r.item()), gram)
+    c, r, gram = batch_stats(spec, feat_fake)
+    return real, (*tracker_update(fake_tracker, c, r), gram)
 
 
 def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: np.ndarray,
-           out_fake: Tensor, feat_fake: Tensor,
-           stats: MatchStats | None) -> tuple:
+           out_fake: Tensor, feat_fake: Tensor, stats: tuple | None) -> tuple:
     """One generator update through the (fixed) discriminator's graph on
     this step's fake node (out_fake, feat_fake), on the matching objective
-    lc with the refreshed statistics stats, or with lc and stats None on
-    the adversarial objective alone (the baseline).
+    lc with the blended (real, fake) statistics triples stats of
+    update_trackers, or with lc and stats None on the adversarial objective
+    alone (the baseline).
 
     Returns (loss_g, manifold_term, radius_term, r_g) as floats, r_g being
     the fake batch's rg_score in every mode.
@@ -176,11 +155,7 @@ def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: np.ndarray,
         cg, rgap = manifold_gap(estimate(feat_real), estimate(fv))
         return loss_node.item(), cg, rgap, rg_score(fv)
 
-    terms = generator_terms(
-        lc, feat_real, feat_fake, c_real=stats.real.centroid,
-        c_fake=stats.c_fake, radius_real=stats.real.radius,
-        radius_fake=stats.r_fake, gram_real=stats.gram_real,
-        gram_fake=stats.gram_fake)
+    terms = generator_terms(lc, feat_real, feat_fake, *stats)
     opt_g.step(gradients(terms.total, opt_g.params))
     rg = (rg_score(feat_fake.value) if terms.rg_fake is None
           else terms.rg_fake.item())

@@ -1,16 +1,18 @@
 """End-to-end checks of the command line: artifacts, exit codes, reruns."""
+import contextlib
 import csv
+import io
 import os
 import struct
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import mmgan.trainer as trainer_mod
 from mmgan.cli import main
-from mmgan.config import KERNEL_CHOICES, parse_config_text
+from mmgan.config import KERNEL_CHOICES, TRAIN_KERNELS, parse_config_text
 from mmgan.neural import ACTIVATIONS
 from mmgan.trainer import draw_eval_batch, score_samples
 from mmgan.persist import load_network
@@ -378,3 +380,79 @@ def test_train_fuzz_over_config_space(data):
         finished = all(os.path.exists(os.path.join(out, name))
                        for name in ("manifest.txt", "generator.bin"))
         assert code == 0 or not finished
+
+
+# the _FUZZ_KEYS that `mmgan train` also takes as flags
+_FLAG_KEYS = ("steps", "batch", "seed", "d_steps_per_g", "eval_interval",
+              "eval_samples", "alpha", "beta", "delta", "gamma")
+# values no flag's type parses, or that argparse reads as a missing value
+_GARBLED = st.sampled_from(["", "x", "1.5.0", "1e", "0x10", "--", "-x",
+                            "1,2", " "])
+
+
+def _main_quietly(argv) -> tuple:
+    """(exit code, stdout, stderr) of one in-process invocation."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_train_fuzz_over_flag_space(data):
+    bad = data.draw(st.sets(st.sampled_from(_FLAG_KEYS), max_size=1))
+    garbled = data.draw(st.sets(st.sampled_from(_FLAG_KEYS), max_size=1))
+    argv = ["train",
+            "--dataset", data.draw(st.sampled_from(["ring8", "grid25",
+                                                    "rings2", "nosuch"])),
+            "--kernel", data.draw(st.sampled_from([*TRAIN_KERNELS, "poly",
+                                                   "cubic"]))]
+    if data.draw(st.booleans()):
+        argv.append("--baseline")
+    for key in _FLAG_KEYS:
+        good_values, bad_values = _FUZZ_KEYS[key]
+        if key in garbled:
+            value = data.draw(_GARBLED)
+        else:
+            value = data.draw(bad_values if key in bad else good_values)
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "run")
+        code, _, err = _main_quietly([*argv, "--out", out])
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3, 4)
+        assert "Traceback" not in err
+        if code == 1:
+            assert not os.path.exists(out)
+        finished = all(os.path.exists(os.path.join(out, name))
+                       for name in ("manifest.txt", "generator.bin"))
+        assert code == 0 or not finished
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("eval_fuzz") / "run"
+    assert main(["train", *FAST, "--steps", "2", "--out", str(out)]) == 0
+    return out
+
+
+# --samples allocates that many rows, so the drawn counts stay small
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_eval_fuzz_over_flag_space(finished_run, data):
+    argv = ["eval", "--out", str(finished_run)]
+    for flag, good_values in (("--samples", st.integers(-3, 300)),
+                              ("--seed", st.integers(-3, 2 ** 70)),
+                              ("--step", st.integers(-3, 2 ** 70))):
+        value = data.draw(st.none() | good_values | _GARBLED)
+        if value is not None:
+            argv += [flag, str(value)]
+    code, out, err = _main_quietly(argv)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+    if code == 0:
+        assert len(out.splitlines()) == 2
+    else:
+        assert out == "" and err.startswith("error:")

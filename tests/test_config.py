@@ -62,9 +62,7 @@ def test_loss_config_mapping():
     assert lc.kernel == KernelSpec("rbf", gamma=0.1)
     assert lc.alpha == 2.0 and lc.beta == 0.5
     assert RunConfig(kernel="none").loss_config().kernel is None
-    # the poly alias reaches KernelSpec's canonical name, and training
-    # rejects it
-    assert KernelSpec("poly").kind == "polynomial"
+    # training rejects poly, which gradcheck keeps
     with pytest.raises(ValueError, match="poly"):
         RunConfig(kernel="poly")
 

@@ -1,10 +1,14 @@
 import time
 
+import numpy as np
 import pytest
 
 from mmgan.gradcheck import (TOLERANCE, _build, _config, check_variant,
                              run_suite, variant_names)
 from mmgan.loss import generator_terms
+from mmgan.manifold import ManifoldTracker
+from mmgan.neural import constant
+from mmgan.trainer import update_trackers
 
 
 def test_variant_grid():
@@ -59,3 +63,20 @@ def test_rg_variants_check_an_active_penalty(name):
                             d_net.forward_values(x)[1],
                             d_net.forward_values(fake)[1])
     assert terms.rg > 0
+
+
+@pytest.mark.parametrize("base", ["plain", "linear", "rbf", "exp"])
+def test_gradcheck_checks_the_trainer_objective(base):
+    # fresh trackers adopt the mini-batch statistics on their first fold,
+    # so the objective the trainer builds from update_trackers is the one
+    # gradcheck differentiates, bit for bit
+    cfg = _config(base + "+rg", 1.0, 1.0, None)
+    g_net, d_net, z, x = _build(0)
+    fr = d_net.forward(constant(x))[1]
+    ff = d_net.forward(g_net.forward(constant(z))[0])[1]
+    trained = generator_terms(cfg, fr, ff, *update_trackers(
+        cfg.kernel, fr.value, ff, ManifoldTracker(0.9), ManifoldTracker(0.9)))
+    checked = generator_terms(cfg, fr, ff)
+    for name in ("total", "manifold", "radius"):
+        assert np.array_equal(getattr(trained, name).value,
+                              getattr(checked, name).value), name

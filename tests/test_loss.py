@@ -9,7 +9,7 @@ from mmgan.loss import (
     LossConfig,
     LossReport,
     PROB_CLAMP,
-    batch_radius,
+    batch_stats,
     generator_terms,
     l_d_final,
     l_orig,
@@ -95,10 +95,14 @@ def test_bce_is_negated_l_orig():
 def test_batch_radius_conventions_differ():
     # points at distances 1, 1 and 2 from their centroid (1, 0): mean dist
     # 4/3, mean sq dist 2 (the linear mean embedding is that centroid)
-    pts = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0]])
-    c = pts.mean(axis=0)
-    assert batch_radius(None, pts, c) == pytest.approx(4.0 / 3.0)
-    assert batch_radius(KernelSpec("linear"), pts, c) == pytest.approx(2.0)
+    pts = constant(np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 0.0]]))
+    c, r, gram = batch_stats(None, pts)
+    assert np.array_equal(c.value, [1.0, 0.0]) and gram is None
+    assert r.item() == pytest.approx(4.0 / 3.0)
+    # with a kernel the centroid is the mean embedding: no coordinates
+    c, r, gram = batch_stats(KernelSpec("linear"), pts)
+    assert c is None and gram.item() == pytest.approx(1.0)
+    assert r.item() == pytest.approx(2.0)
 
 
 def test_l_g_kernel_linear_reduces_to_plain_geometry():
@@ -170,10 +174,10 @@ def test_stat_overrides_are_respected():
     real, fake = rng.normal(size=(6, 3)), rng.normal(size=(6, 3))
     cfg = LossConfig(beta=0.0)
     cr = np.zeros(3)
-    t = generator_terms(cfg, real, fake, c_real=cr, radius_real=7.0)
+    t = generator_terms(cfg, real, fake, real=(cr, 7.0, None))
     cf = fake.mean(axis=0)
     want_manifold = np.linalg.norm(cr - cf)
-    want_radius = abs(7.0 - batch_radius(None, fake, cf))
+    want_radius = abs(7.0 - batch_stats(None, constant(fake))[1].item())
     assert t.manifold == pytest.approx(want_manifold, rel=1e-12)
     assert t.radius == pytest.approx(want_radius, rel=1e-12)
 
@@ -223,8 +227,6 @@ def test_loss_config_validation():
         LossConfig(alpha=-0.1)
     with pytest.raises(ValueError):
         LossConfig(beta=-1.0)
-    with pytest.raises(ValueError):
-        LossConfig(delta=1.0)
     with pytest.raises(ValueError):
         LossConfig(kernel="rbf")
 

@@ -8,10 +8,10 @@ import mmgan.trainer as trainer_mod
 from mmgan.config import RunConfig
 from mmgan.data import DatasetHandle, make_dataset
 from mmgan.kernel import KernelSpec, kernel_radius
-from mmgan.loss import batch_radius, rg_score
-from mmgan.manifold import ManifoldTracker, SphereManifold, centroid, tracker_update
-from mmgan.neural import (Network, NumericalError, SGD, Tensor, gradients,
-                          parameter)
+from mmgan.loss import batch_stats, rg_score
+from mmgan.manifold import ManifoldTracker, SphereManifold, tracker_update
+from mmgan.neural import (Network, NumericalError, SGD, Tensor, constant,
+                          gradients, parameter)
 from mmgan.trainer import (
     TrainResult,
     d_step,
@@ -107,8 +107,8 @@ def test_tracker_states_follow_recorded_minis(monkeypatch):
 
     def spy(spec, feat_real, feat_fake, real_tracker, fake_tracker):
         for name, feats in (("real", feat_real), ("fake", feat_fake.value)):
-            c = feats.mean(axis=0)
-            minis[name].append((c, float(batch_radius(spec, feats, c))))
+            c, r, _ = batch_stats(spec, constant(feats))
+            minis[name].append((c.value, r.item()))
         return orig(spec, feat_real, feat_fake, real_tracker, fake_tracker)
 
     monkeypatch.setattr(trainer_mod, "update_trackers", spy)
@@ -129,8 +129,8 @@ def test_delta_zero_tracker_equals_last_mini(monkeypatch):
     orig = update_trackers
 
     def spy(spec, feat_real, feat_fake, real_tracker, fake_tracker):
-        c = feat_real.mean(axis=0)
-        minis.append((c, float(batch_radius(None, feat_real, c))))
+        c, r, _ = batch_stats(spec, constant(feat_real))
+        minis.append((c.value, r.item()))
         return orig(spec, feat_real, feat_fake, real_tracker, fake_tracker)
 
     monkeypatch.setattr(trainer_mod, "update_trackers", spy)
@@ -159,8 +159,9 @@ def test_g_step_blend_value_coincides_with_tracker(monkeypatch, loss_keys):
 
     def spy_g(lc, opt_g, feat_real, out_fake, feat_fake, stats):
         rt, ft = trackers
-        blend_c = None if stats.c_fake is None else stats.c_fake.value
-        seen.append((blend_c, stats.r_fake.item(), ft.current, rt.current))
+        c_fake, r_fake, _ = stats[1]
+        blend_c = None if c_fake is None else c_fake.value
+        seen.append((blend_c, r_fake.item(), ft.current, rt.current))
         return orig_g(lc, opt_g, feat_real, out_fake, feat_fake, stats)
 
     monkeypatch.setattr(trainer_mod, "update_trackers", spy_t)
@@ -226,9 +227,9 @@ def test_work_per_step(monkeypatch, keys, per_step, backward_nodes, tensors):
         monkeypatch.setattr(owner, name, counted)
 
     count(Network, "forward", "forward")
-    # the trainer imports mean_gram under its own name
+    # loss.batch_stats calls mean_gram under the loss module's name
     count(kernel_mod, "mean_gram", "mean_gram")
-    count(trainer_mod, "mean_gram", "mean_gram")
+    count(loss_mod, "mean_gram", "mean_gram")
     count(loss_mod, "kernel_radius", "kernel_radius")
     count(loss_mod, "r_g", "r_g")
 
@@ -359,16 +360,19 @@ def test_update_trackers_initializes_both():
     feat_real = d.forward_values(x)[1]
     _, feat_fake = d.forward(g.forward(rng.normal(size=(8, 2)))[0])
     rt, ft = ManifoldTracker(0.9), ManifoldTracker(0.9)
-    stats = update_trackers(None, feat_real, feat_fake, rt, ft)
+    real, fake = update_trackers(None, feat_real, feat_fake, rt, ft)
     assert rt.current is not None and ft.current is not None
-    assert stats.real is rt.current and stats.gram_real is None
+    # plain space: no mean Gram, and the real triple is the tracker's state
+    assert real[2] is None and fake[2] is None
+    assert np.array_equal(real[0].value, rt.current.centroid)
+    assert real[1] == rt.current.radius
     np.testing.assert_allclose(rt.current.centroid, feat_real.mean(axis=0))
     np.testing.assert_allclose(ft.current.centroid, feat_fake.value.mean(axis=0))
     # a fresh tracker adopts the mini-batch statistic, which the returned
     # nodes then equal
-    np.testing.assert_allclose(stats.c_fake.value, ft.current.centroid)
-    assert stats.r_fake.item() == pytest.approx(ft.current.radius, rel=1e-12)
-    assert stats.r_fake.requires_grad
+    np.testing.assert_allclose(fake[0].value, ft.current.centroid)
+    assert fake[1].item() == pytest.approx(ft.current.radius, rel=1e-12)
+    assert fake[1].requires_grad
 
 
 def test_tracker_fold_uninitialized_passes_mini_through():
@@ -384,8 +388,7 @@ def test_tracker_fold_hand_case():
     feats = parameter(np.array([[1.0, 0.0], [3.0, 0.0]]))  # c_mini=(2,0), r_mini=1
     t = ManifoldTracker(0.9)
     t.current = SphereManifold(np.array([0.0, 0.0]), 3.0)
-    c_mini = centroid(feats)
-    r_mini = batch_radius(None, feats, c_mini)
+    c_mini, r_mini, _ = batch_stats(None, feats)
     c, r = tracker_update(t, c_mini, r_mini)
     np.testing.assert_allclose(c.value, [0.2, 0.0])
     assert r.item() == pytest.approx(0.9 * 3.0 + 0.1 * 1.0)
@@ -398,8 +401,7 @@ def test_tracker_fold_hand_case():
     # with a kernel only the radius is kept and blended, here the linear
     # kernel's mean squared distance 1
     t.current = SphereManifold(None, 3.0)
-    c, r = tracker_update(t, None,
-                          batch_radius(KernelSpec("linear"), feats, None))
+    c, r = tracker_update(t, None, batch_stats(KernelSpec("linear"), feats)[1])
     assert c is None and t.current.centroid is None
     assert r.item() == pytest.approx(0.9 * 3.0 + 0.1 * 1.0)
 
