@@ -86,7 +86,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", choices=DATASETS)
     p.add_argument("--idx-images", dest="idx_images",
                    help="idx image file (idx dataset only; .gz accepted)")
-    p.add_argument("--idx-labels", dest="idx_labels")
     p.add_argument("--kernel", choices=TRAIN_KERNELS)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
@@ -220,18 +219,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    if args.config:
-        manifest_path = args.config
-    elif args.out:
-        manifest_path = os.path.join(args.out, MANIFEST_FILE)
-    else:
-        print("error: eval needs --out <run dir> or --config <manifest>",
-              file=sys.stderr)
+    if not args.out:
+        print("error: eval needs --out <run dir>", file=sys.stderr)
         return EXIT_CONFIG
-    run_dir = os.path.dirname(manifest_path) or "."
 
     try:
-        with open(manifest_path, encoding="utf-8") as f:
+        with open(os.path.join(args.out, MANIFEST_FILE), encoding="utf-8") as f:
             cfg = parse_config_text(f.read())
         data = cfg.load_dataset()
     except OSError as e:
@@ -242,7 +235,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
 
     try:
-        net = load_network(os.path.join(run_dir, PARAMS_FILE))
+        net = load_network(os.path.join(args.out, PARAMS_FILE))
     except (OSError, ValueError) as e:
         print(f"error: cannot load parameters: {e}", file=sys.stderr)
         return EXIT_IO
@@ -269,7 +262,7 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    # only the flags given: run_suite owns the defaults
+    # only the flags given: check_variant owns the defaults
     given = {key: getattr(args, key)
              for key in ("alpha", "beta", "gamma", "seed")
              if getattr(args, key) is not None}
@@ -298,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "one CSV metrics row")
     p_eval.add_argument("--out", help="run directory containing "
                         f"{MANIFEST_FILE} and {PARAMS_FILE}")
-    p_eval.add_argument("--config", help="explicit manifest path")
     p_eval.add_argument("--samples", type=int,
                         help="evaluation sample count (default from manifest)")
     p_eval.add_argument("--seed", type=int)

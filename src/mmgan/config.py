@@ -39,7 +39,6 @@ class RunConfig:
 
     dataset: str = "ring8"
     idx_images: str | None = None
-    idx_labels: str | None = None
     out: str | None = None
     kernel: str = "none"
     alpha: float = 1.0
@@ -115,7 +114,7 @@ class RunConfig:
 
     def load_dataset(self) -> DatasetHandle:
         if self.dataset == "idx":
-            return load_idx(self.idx_images, self.idx_labels)
+            return load_idx(self.idx_images)
         return make_dataset(self.dataset)
 
 

@@ -15,21 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "SYNTHETIC_KINDS",
     "RING8_SIGMA",
     "GRID25_SIGMA",
     "RINGS2_SIGMA",
     "RINGS2_CENTERS_PER_RING",
     "IDX_IMAGES_MAGIC",
-    "IDX_LABELS_MAGIC",
     "DatasetHandle",
     "make_dataset",
     "sample_batch",
     "load_idx",
     "scale_pixels",
 ]
-
-SYNTHETIC_KINDS = ("ring8", "grid25", "rings2")
 
 RING8_RADIUS = 2.0
 RING8_SIGMA = 0.02
@@ -39,7 +35,8 @@ RINGS2_SIGMA = 0.02
 RINGS2_CENTERS_PER_RING = 128
 
 IDX_IMAGES_MAGIC = 2051
-IDX_LABELS_MAGIC = 2049
+# magic, image count, rows, cols
+_IDX_HEADER = struct.Struct(">IIII")
 
 
 @dataclass
@@ -47,7 +44,7 @@ class DatasetHandle:
     """Everything sampling and metrics need to know about one dataset.
 
     mode_centers is None for image data, where coverage metrics do not
-    apply. image_shape keeps (rows, cols) for plotting.
+    apply.
     """
 
     kind: str
@@ -55,8 +52,6 @@ class DatasetHandle:
     mode_centers: np.ndarray | None
     mode_sigma: float
     images: np.ndarray | None = None
-    labels: np.ndarray | None = None
-    image_shape: tuple | None = None
 
 
 def _ring8_centers() -> np.ndarray:
@@ -116,50 +111,29 @@ def _open_maybe_gz(path):
     return gzip.open(p, "rb") if p.endswith(".gz") else open(p, "rb")
 
 
-def _read_u32(f, what: str) -> int:
-    data = f.read(4)
-    if len(data) != 4:
-        raise ValueError(f"truncated idx file while reading {what}")
-    return struct.unpack(">I", data)[0]
+def load_idx(images_path) -> DatasetHandle:
+    """Read a big-endian IDX image file, gzipped or not.
 
-
-def load_idx(images_path, labels_path=None) -> DatasetHandle:
-    """Read big-endian IDX image (and optional label) files, gzipped or not.
-
-    Magic numbers are enforced: 2051 for images, 2049 for labels. Pixels
-    come back scaled to [-1, 1], flattened to (count, rows*cols).
+    The magic number 2051 is enforced, and the payload must hold the
+    header's count x rows x cols bytes. Pixels come back scaled to
+    [-1, 1], flattened to (count, rows*cols).
     """
+    # read what the file holds, never what the header claims: a forged
+    # header may name more bytes than any buffer can hold
     with _open_maybe_gz(images_path) as f:
-        magic = _read_u32(f, "images magic")
-        if magic != IDX_IMAGES_MAGIC:
-            raise ValueError(
-                f"bad images magic {magic}, expected {IDX_IMAGES_MAGIC}")
-        count = _read_u32(f, "image count")
-        rows = _read_u32(f, "image rows")
-        cols = _read_u32(f, "image cols")
-        if count < 1 or rows < 1 or cols < 1:
-            raise ValueError(f"degenerate idx dimensions {count}x{rows}x{cols}")
-        payload = f.read(count * rows * cols)
-        if len(payload) != count * rows * cols:
-            raise ValueError("truncated idx image payload")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-    images = scale_pixels(pixels)
-
-    labels = None
-    if labels_path is not None:
-        with _open_maybe_gz(labels_path) as f:
-            magic = _read_u32(f, "labels magic")
-            if magic != IDX_LABELS_MAGIC:
-                raise ValueError(
-                    f"bad labels magic {magic}, expected {IDX_LABELS_MAGIC}")
-            lcount = _read_u32(f, "label count")
-            if lcount != count:
-                raise ValueError(
-                    f"label count {lcount} does not match image count {count}")
-            raw = f.read(lcount)
-            if len(raw) != lcount:
-                raise ValueError("truncated idx label payload")
-        labels = np.frombuffer(raw, dtype=np.uint8).copy()
-
-    return DatasetHandle("idx", rows * cols, None, 0.0,
-                         images=images, labels=labels, image_shape=(rows, cols))
+        raw = f.read()
+    if len(raw) < _IDX_HEADER.size:
+        raise ValueError("truncated idx header")
+    magic, count, rows, cols = _IDX_HEADER.unpack_from(raw)
+    if magic != IDX_IMAGES_MAGIC:
+        raise ValueError(
+            f"bad images magic {magic}, expected {IDX_IMAGES_MAGIC}")
+    if count < 1 or rows < 1 or cols < 1:
+        raise ValueError(f"degenerate idx dimensions {count}x{rows}x{cols}")
+    size = count * rows * cols
+    if len(raw) - _IDX_HEADER.size < size:
+        raise ValueError("truncated idx image payload")
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=size,
+                           offset=_IDX_HEADER.size)
+    images = scale_pixels(pixels.reshape(count, rows * cols))
+    return DatasetHandle("idx", rows * cols, None, 0.0, images=images)

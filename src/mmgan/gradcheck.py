@@ -110,13 +110,11 @@ def check_variant(name: str, alpha: float = 1.0, beta: float = 1.0,
     return worst
 
 
-def run_suite(names=None, alpha: float = 1.0, beta: float = 1.0,
-              gamma: float | None = None, seed: int = 0,
-              inject_fault: bool = False) -> list:
-    """[(variant, max_rel_err, passed)] over the requested variants."""
+def run_suite(names=None, **options) -> list:
+    """[(variant, max_rel_err, passed)] over the requested variants;
+    options go to check_variant as keywords."""
     rows = []
     for name in (names if names is not None else variant_names()):
-        err = check_variant(name, alpha=alpha, beta=beta, gamma=gamma,
-                            seed=seed, inject_fault=inject_fault)
+        err = check_variant(name, **options)
         rows.append((name, err, err < TOLERANCE))
     return rows

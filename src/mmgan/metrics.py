@@ -32,14 +32,12 @@ class MetricsRow:
     r_g_value: float
 
 
-def mode_coverage(samples, centers, sigma: float,
-                  hq_multiplier: float = HQ_SIGMA_MULTIPLIER,
-                  coverage_divisor: float = COVERAGE_DIVISOR) -> tuple:
+def mode_coverage(samples, centers, sigma: float) -> tuple:
     """(modes_covered, hq_fraction) for samples against gaussian modes.
 
-    A sample is high quality iff it lies within hq_multiplier * sigma of its
-    nearest center; a mode is covered iff it owns at least
-    max(1, n / (coverage_divisor * n_modes)) high-quality samples.
+    A sample is high quality iff it lies within HQ_SIGMA_MULTIPLIER * sigma
+    of its nearest center; a mode is covered iff it owns at least
+    max(1, n / (COVERAGE_DIVISOR * n_modes)) high-quality samples.
     """
     samples = np.asarray(samples, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
@@ -55,9 +53,9 @@ def mode_coverage(samples, centers, sigma: float,
     n, m = samples.shape[0], centers.shape[0]
     d2 = ((samples[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     nearest = d2.argmin(axis=1)
-    hq = np.sqrt(d2[np.arange(n), nearest]) <= hq_multiplier * sigma
+    hq = np.sqrt(d2[np.arange(n), nearest]) <= HQ_SIGMA_MULTIPLIER * sigma
     counts = np.bincount(nearest[hq], minlength=m)
-    need = max(1.0, n / (coverage_divisor * m))
+    need = max(1.0, n / (COVERAGE_DIVISOR * m))
     return int((counts >= need).sum()), float(hq.mean())
 
 

@@ -198,11 +198,6 @@ class Tensor:
         a = self.value
         return node(a / other, (self,), lambda g: (_unbroadcast(g / other, a.shape),))
 
-    def __rtruediv__(self, other):
-        a = self.value
-        return node(other / a, (self,),
-                     lambda g: (_unbroadcast(-g * other / (a * a), a.shape),))
-
     def __pow__(self, p):
         if not isinstance(p, (int, float)):
             raise TypeError("exponent must be a python scalar")
@@ -238,10 +233,6 @@ class Tensor:
 
     # -- elementwise nonlinearities ---------------------------------------
 
-    def exp(self) -> "Tensor":
-        out = np.exp(self.value)
-        return node(out, (self,), lambda g: (g * out,))
-
     def log(self) -> "Tensor":
         a = self.value
         return node(np.log(a), (self,), lambda g: (g / a,))
@@ -258,21 +249,6 @@ class Tensor:
     def abs(self) -> "Tensor":
         a = self.value
         return node(np.abs(a), (self,), lambda g: (g * np.sign(a),))
-
-    def _activate(self, name: str) -> "Tensor":
-        value, vjp = _ACT[name]
-        a = self.value
-        out = value(a)
-        return node(out, (self,), lambda g: (vjp(g, a, out),))
-
-    def tanh(self) -> "Tensor":
-        return self._activate("tanh")
-
-    def sigmoid(self) -> "Tensor":
-        return self._activate("sigmoid")
-
-    def relu(self) -> "Tensor":
-        return self._activate("relu")
 
     def clamp(self, lo: float, hi: float) -> "Tensor":
         a = self.value
@@ -486,10 +462,6 @@ class Network:
     @property
     def in_dim(self) -> int:
         return self.layers[0].fan_in
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].fan_out
 
     def parameters(self) -> dict:
         return self._params

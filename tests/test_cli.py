@@ -12,7 +12,8 @@ from hypothesis import event, given, settings, strategies as st
 
 import mmgan.trainer as trainer_mod
 from mmgan.cli import main
-from mmgan.config import KERNEL_CHOICES, TRAIN_KERNELS, parse_config_text
+from mmgan.config import (KERNEL_CHOICES, TRAIN_KERNELS, RunConfig,
+                          manifest_text, parse_config_text)
 from mmgan.neural import ACTIVATIONS
 from mmgan.trainer import draw_eval_batch, score_samples
 from mmgan.persist import load_network
@@ -316,6 +317,47 @@ def test_idx_training_smoke(tmp_path):
     names = {q.name for q in out.iterdir()}
     assert "samples_40.csv" in names
     assert not any(n.endswith(".svg") for n in names)
+
+
+@pytest.mark.parametrize("dims", [(0xFFFFFFFF,) * 3, (100_000_000, 28, 28)],
+                         ids=["u32-max", "100M-images"])
+def test_train_rejects_oversized_idx_header(tmp_path, dims):
+    p = tmp_path / "huge.idx"
+    p.write_bytes(struct.pack(">IIII", 2051, *dims) + bytes(64))
+    out = tmp_path / "run"
+    code, _, err = _main_quietly(["train", "--dataset", "idx", "--idx-images",
+                                  str(p), "--out", str(out)])
+    assert code == 1 and "Traceback" not in err
+    assert "truncated idx image payload" in err
+    assert not out.exists()
+
+
+# how a run wrote its manifest while IDX label files were still an input
+def _old_manifest(run_dir) -> str:
+    run_dir.mkdir()
+    text = manifest_text(RunConfig(out=str(run_dir))).replace(
+        "idx_images = none\n", "idx_images = none\nidx_labels = none\n")
+    (run_dir / "manifest.txt").write_text(text)
+    return str(run_dir / "manifest.txt")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["train", "--config", "{manifest}", "--out", "{tmp}/rerun"],
+     "'idx_labels'"),
+    (["eval", "--out", "{tmp}/old"], "'idx_labels'"),
+    (["train", *FAST, "--idx-labels", "x", "--out", "{tmp}/rerun"],
+     "--idx-labels"),
+    (["eval", "--config", "{manifest}"], "--config"),
+], ids=["train-old-manifest", "eval-old-manifest", "train-idx-labels",
+        "eval-config"])
+def test_removed_inputs_exit_1(tmp_path, argv, named):
+    manifest = _old_manifest(tmp_path / "old")
+    before = sorted(tmp_path.rglob("*"))
+    code, _, err = _main_quietly(
+        [a.format(manifest=manifest, tmp=tmp_path) for a in argv])
+    assert code == 1 and "Traceback" not in err
+    assert named in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_unknown_subcommand(capsys):

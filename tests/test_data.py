@@ -4,14 +4,13 @@ import struct
 import numpy as np
 import pytest
 
+from mmgan.config import DATASETS
 from mmgan.data import (
     GRID25_SIGMA,
     IDX_IMAGES_MAGIC,
-    IDX_LABELS_MAGIC,
     RING8_SIGMA,
     RINGS2_CENTERS_PER_RING,
     RINGS2_SIGMA,
-    SYNTHETIC_KINDS,
     load_idx,
     make_dataset,
     sample_batch,
@@ -55,7 +54,7 @@ def test_make_dataset_rejects_unknown():
         make_dataset("spiral")
 
 
-@pytest.mark.parametrize("kind", SYNTHETIC_KINDS)
+@pytest.mark.parametrize("kind", [k for k in DATASETS if k != "idx"])
 def test_sample_batch_shape_and_determinism(kind):
     h = make_dataset(kind)
     a = sample_batch(h, 33, np.random.default_rng(42))
@@ -102,11 +101,6 @@ def idx_images_bytes(images: np.ndarray) -> bytes:
         np.uint8).tobytes()
 
 
-def idx_labels_bytes(labels) -> bytes:
-    labels = np.asarray(labels, dtype=np.uint8)
-    return struct.pack(">II", IDX_LABELS_MAGIC, len(labels)) + labels.tobytes()
-
-
 PIXELS = np.array([[[0, 51], [204, 255]],
                    [[255, 0], [0, 255]]], dtype=np.uint8)
 
@@ -115,8 +109,8 @@ def test_load_idx_parses_and_scales(tmp_path):
     p = tmp_path / "imgs.idx"
     p.write_bytes(idx_images_bytes(PIXELS))
     h = load_idx(p)
-    assert h.kind == "idx" and h.dim == 4 and h.image_shape == (2, 2)
-    assert h.mode_centers is None and h.labels is None
+    assert h.kind == "idx" and h.dim == 4 and h.images.shape == (2, 4)
+    assert h.mode_centers is None
     np.testing.assert_allclose(h.images[0], [-1.0, -0.6, 0.6, 1.0], atol=1e-15)
     np.testing.assert_allclose(h.images[1], [1.0, -1.0, -1.0, 1.0], atol=1e-15)
 
@@ -128,17 +122,10 @@ def test_load_idx_gzip_by_suffix(tmp_path):
     np.testing.assert_allclose(h.images[0], [-1.0, -0.6, 0.6, 1.0], atol=1e-15)
 
 
-def test_load_idx_with_labels(tmp_path):
-    pi, pl = tmp_path / "i.idx", tmp_path / "l.idx"
-    pi.write_bytes(idx_images_bytes(PIXELS))
-    pl.write_bytes(idx_labels_bytes([7, 3]))
-    h = load_idx(pi, pl)
-    np.testing.assert_array_equal(h.labels, [7, 3])
-
-
 def test_load_idx_rejects_wrong_magic(tmp_path):
     p = tmp_path / "bad.idx"
-    p.write_bytes(struct.pack(">IIII", IDX_LABELS_MAGIC, 1, 2, 2) + bytes(4))
+    # 2049 is the IDX label-file magic
+    p.write_bytes(struct.pack(">IIII", 2049, 1, 2, 2) + bytes(4))
     with pytest.raises(ValueError, match="magic"):
         load_idx(p)
 
@@ -152,20 +139,11 @@ def test_load_idx_rejects_truncations(tmp_path):
             load_idx(p)
 
 
-def test_load_idx_rejects_label_count_mismatch(tmp_path):
-    pi, pl = tmp_path / "i.idx", tmp_path / "l.idx"
-    pi.write_bytes(idx_images_bytes(PIXELS))
-    pl.write_bytes(idx_labels_bytes([1, 2, 3]))
-    with pytest.raises(ValueError, match="count"):
-        load_idx(pi, pl)
-
-
-def test_load_idx_rejects_bad_label_magic(tmp_path):
-    pi, pl = tmp_path / "i.idx", tmp_path / "l.idx"
-    pi.write_bytes(idx_images_bytes(PIXELS))
-    pl.write_bytes(struct.pack(">II", IDX_IMAGES_MAGIC, 2) + bytes([1, 2]))
-    with pytest.raises(ValueError, match="magic"):
-        load_idx(pi, pl)
+def test_load_idx_ignores_trailing_bytes(tmp_path):
+    p = tmp_path / "i.idx"
+    p.write_bytes(idx_images_bytes(PIXELS) + bytes(3))
+    np.testing.assert_array_equal(load_idx(p).images,
+                                  scale_pixels(PIXELS.reshape(2, 4)))
 
 
 def test_sample_batch_from_idx(tmp_path):

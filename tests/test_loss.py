@@ -43,16 +43,14 @@ def test_l_orig_rejects_non_probabilities():
 
 
 def test_l_orig_graph_path_matches_and_differentiates():
-    logits = parameter(np.array([[0.3], [-1.2], [2.0]]))
-    dr = logits.sigmoid()
-    df = (logits * 0.5).sigmoid()
+    dr = parameter(np.array([[0.6], [0.2], [0.9]]))
+    df = parameter(np.array([[0.3], [0.7], [0.05]]))
     node = l_orig(dr, df)
     assert node.item() == pytest.approx(l_orig(dr.value, df.value), rel=1e-12)
-    params = {"logits": logits}
+    params = {"dr": dr, "df": df}
     analytic = gradients(node, params)
-    numeric = fd_gradients(
-        lambda: l_orig(logits.sigmoid(), (logits * 0.5).sigmoid()).item(),
-        {"logits": logits.value}, h=1e-5)
+    numeric = fd_gradients(lambda: l_orig(dr, df).item(),
+                           {k: p.value for k, p in params.items()}, h=1e-5)
     assert max_rel_err(analytic, numeric) < 1e-4
 
 

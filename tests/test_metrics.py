@@ -62,16 +62,6 @@ def test_collapsed_generator_covers_one_mode():
     assert hq > 0.95
 
 
-def test_custom_constants_are_respected():
-    centers = np.array([[0.0, 0.0], [10.0, 0.0]])
-    samples = np.array([[0.05, 0.0]])
-    # with a 1-sigma multiplier the sample is too far out
-    modes, hq = mode_coverage(samples, centers, 0.02, hq_multiplier=1.0)
-    assert modes == 0 and hq == 0.0
-    modes, hq = mode_coverage(samples, centers, 0.02, hq_multiplier=3.0)
-    assert modes == 1
-
-
 def test_mode_coverage_validation():
     c = np.zeros((1, 2))
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from mmgan.neural import (
     ACTIVATIONS,
+    Layer,
     Network,
     NumericalError,
     SGD,
@@ -102,8 +103,8 @@ def test_unary_ops_fd():
     b = rng.normal(size=(3, 3))
 
     def loss(p):
-        t = p["a"].log() + p["a"].sqrt() + p["a"].exp()
-        u = p["b"].tanh() + p["b"].sigmoid() + (p["b"] * p["b"] + 0.3).abs()
+        t = p["a"].log() + p["a"].sqrt() + p["a"] ** 1.5
+        u = (p["b"] * p["b"] + 0.3).abs() - p["b"] ** 3
         return (t.sum() - u.mean()) ** 2
 
     check_against_fd(loss, {"a": a, "b": b})
@@ -116,7 +117,7 @@ def test_relu_clamp_fd_away_from_kinks():
     a[np.abs(a - 1.0) < 0.05] = 0.5  # clamp hi kink at 1.0
 
     def loss(p):
-        return (p["a"].relu().sum() + p["a"].clamp(-0.7, 1.0).sum()
+        return (p["a"].clamp_min(0.0).sum() + p["a"].clamp(-0.7, 1.0).sum()
                 + p["a"].clamp_min(-0.2).mean()) ** 2
 
     check_against_fd(loss, {"a": a})
@@ -140,7 +141,6 @@ def test_numpy_left_operands_hit_reflected_ops():
         (arr + x, [4.0, 6.0]),
         (arr - x, [2.0, 2.0]),
         (arr * x, [3.0, 8.0]),
-        (arr / x, [3.0, 2.0]),
     ]:
         assert isinstance(expr, Tensor)
         np.testing.assert_allclose(expr.value, expect)
@@ -160,7 +160,7 @@ def test_backward_is_linear():
     rng = np.random.default_rng(13)
     x = parameter(rng.normal(size=(4,)))
     f = (x * x).sum()
-    h = x.exp().sum()
+    h = (x ** 3).sum()
     combo = 2.5 * f + 0.5 * h
     gf, gh, gc = backward(f)[x], backward(h)[x], backward(combo)[x]
     np.testing.assert_allclose(gc, 2.5 * gf + 0.5 * gh, rtol=1e-12)
@@ -172,7 +172,7 @@ def test_backward_is_linear():
 def test_backward_linearity_property(vals, ca, cb):
     x = parameter(np.asarray(vals))
     f = (x * x).sum()
-    h = (x.tanh()).sum()
+    h = (x ** 3).sum()
     gc = backward(ca * f + cb * h)[x]
     np.testing.assert_allclose(gc, ca * backward(f)[x] + cb * backward(h)[x],
                                rtol=1e-9, atol=1e-12)
@@ -205,7 +205,7 @@ def test_gradients_unreachable_param_is_zero():
 
 def test_backward_twice_same_graph_is_stable():
     x = parameter(np.array([1.5, -0.5]))
-    loss = (x.tanh() * x).sum()
+    loss = (x.abs() * x).sum()
     g1 = backward(loss)[x]
     g2 = backward(loss)[x]
     np.testing.assert_array_equal(g1, g2)
@@ -218,11 +218,15 @@ def test_sqrt_zero_subgradient():
 
 
 def test_sigmoid_extremes_finite():
-    x = parameter([-800.0, 800.0, 0.0])
-    s = x.sigmoid()
-    assert np.isfinite(s.value).all()
-    np.testing.assert_allclose(s.value, [0.0, 1.0, 0.5], atol=1e-12)
-    assert np.isfinite(backward(s.sum())[x]).all()
+    # one sigmoid layer computing sigmoid(x): the two-branch form stays
+    # finite where a naive 1 / (1 + exp(-x)) overflows
+    net = Network([Layer(parameter([[1.0]]), parameter([0.0]), "sigmoid")])
+    x = parameter([[-800.0], [800.0], [0.0]])
+    s, _ = net.forward(x)
+    np.testing.assert_allclose(s.value, [[0.0], [1.0], [0.5]], atol=1e-12)
+    grads = backward(s.sum())
+    assert all(np.isfinite(grads[t]).all()
+               for t in (x, *net.parameters().values()))
 
 
 def test_parameter_rejects_nonfinite():
@@ -249,7 +253,7 @@ def test_glorot_bounds_and_determinism():
 
 def test_network_shapes_and_tap():
     net = Network.create((2, 16, 8, 1), rng=np.random.default_rng(0))
-    assert net.in_dim == 2 and net.out_dim == 1
+    assert net.in_dim == 2 and net.layers[-1].fan_out == 1
     assert net.feature_tap_index == 1  # last hidden by default
     out, feats = net.forward(np.zeros((5, 2)))
     assert out.shape == (5, 1)
@@ -265,7 +269,6 @@ def test_network_rejects_bad_batch():
 
 
 def test_network_rejects_noncomposing_dims():
-    from mmgan.neural import Layer
     l1 = Layer(parameter(np.zeros((2, 4))), parameter(np.zeros(4)), "relu")
     l2 = Layer(parameter(np.zeros((3, 1))), parameter(np.zeros(1)), "identity")
     with pytest.raises(ValueError, match="compose"):

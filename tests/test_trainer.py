@@ -50,8 +50,8 @@ def test_train_smoke_and_result_shape():
             assert np.isfinite(v)
         assert r.l_orig <= 0.0  # sum of log-probabilities
         assert r.r_g >= 0.0
-    assert res.generator.in_dim == 2 and res.generator.out_dim == 2
-    assert res.discriminator.out_dim == 1
+    assert res.generator.in_dim == 2 and res.generator.layers[-1].fan_out == 2
+    assert res.discriminator.layers[-1].fan_out == 1
     assert res.real_tracker.current is not None
     assert res.fake_tracker.current is not None
 
