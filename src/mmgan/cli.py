@@ -18,7 +18,6 @@ import numpy as np
 from mmgan.config import (
     DATASETS,
     KERNEL_CHOICES,
-    TRAIN_KERNELS,
     RunConfig,
     manifest_text,
     parse_config_text,
@@ -86,7 +85,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", choices=DATASETS)
     p.add_argument("--idx-images", dest="idx_images",
                    help="idx image file (idx dataset only; .gz accepted)")
-    p.add_argument("--kernel", choices=TRAIN_KERNELS)
+    p.add_argument("--kernel", choices=KERNEL_CHOICES)
     p.add_argument("--alpha", type=float)
     p.add_argument("--beta", type=float)
     p.add_argument("--delta", type=float)
@@ -159,7 +158,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
 
     out_dir = resolve_out_dir(cfg)
-    cfg = dataclasses.replace(cfg, out=out_dir)
+    # an absolute image path keeps the manifest valid from any directory
+    cfg = dataclasses.replace(cfg, out=out_dir, idx_images=(
+        cfg.idx_images and os.path.abspath(cfg.idx_images)))
     try:
         os.makedirs(out_dir, exist_ok=True)
         # The manifest marks a finished run; until this run writes its own,
@@ -224,13 +225,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
         return EXIT_CONFIG
 
     try:
-        with open(os.path.join(args.out, MANIFEST_FILE), encoding="utf-8") as f:
-            cfg = parse_config_text(f.read())
-        data = cfg.load_dataset()
+        with open(os.path.join(args.out, MANIFEST_FILE), "rb") as f:
+            raw = f.read()
     except OSError as e:
         print(f"error: missing run manifest: {e}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as e:
+    # what the manifest names is a config error, as for train --config
+    try:
+        cfg = parse_config_text(raw.decode("utf-8"))
+        data = cfg.load_dataset()
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 

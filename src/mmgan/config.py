@@ -18,14 +18,11 @@ from mmgan.kernel import KERNEL_KINDS, KernelSpec
 from mmgan.loss import LossConfig
 from mmgan.neural import ACTIVATIONS
 
-__all__ = ["RunConfig", "DATASETS", "KERNEL_CHOICES", "TRAIN_KERNELS",
-           "OUT_ENV", "parse_config_text", "manifest_text", "resolve_out_dir"]
+__all__ = ["RunConfig", "DATASETS", "KERNEL_CHOICES", "OUT_ENV",
+           "parse_config_text", "manifest_text", "resolve_out_dir"]
 
 DATASETS = ("ring8", "grid25", "rings2", "idx")
 KERNEL_CHOICES = ("none", *KERNEL_KINDS)
-# poly's values grow with D's features until the statistics overflow: at
-# the defaults every seed tried aborted within 150 steps. gradcheck keeps it.
-TRAIN_KERNELS = tuple(k for k in KERNEL_CHOICES if k != "poly")
 OUT_ENV = "MMGAN_OUT"
 _ARTIFACT_PREFIX = "# artifact:"
 
@@ -75,9 +72,6 @@ class RunConfig:
         if self.kernel not in KERNEL_CHOICES:
             raise ValueError(f"unknown kernel {self.kernel!r}; "
                              f"choose from {KERNEL_CHOICES}")
-        if self.kernel not in TRAIN_KERNELS:
-            raise ValueError("kernel poly diverges in training; "
-                             "it is for gradcheck only")
         if self.dataset == "idx" and not self.idx_images:
             raise ValueError("dataset idx needs idx_images")
         # r_g compares rows, so a batch and an evaluation need two of them

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from mmgan.kernel import KernelSpec
+from mmgan.kernel import KERNEL_KINDS, KernelSpec
 from mmgan.loss import LossConfig, generator_terms
 from mmgan.neural import Network, constant, gradients, no_grad
 
 __all__ = ["BASES", "TOLERANCE", "variant_names", "check_variant", "run_suite"]
 
-BASES = ("plain", "linear", "rbf", "exp", "poly")
+BASES = ("plain", *KERNEL_KINDS)
 TOLERANCE = 1e-4
 _BATCH = 8
 _FD_STEP = 1e-5

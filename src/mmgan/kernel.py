@@ -25,13 +25,12 @@ from mmgan.neural import accepts_arrays, constant, node
 __all__ = [
     "KERNEL_KINDS",
     "KernelSpec",
-    "kernel_self_batch",
     "mean_gram",
     "feature_sq_dist",
     "kernel_radius",
 ]
 
-KERNEL_KINDS = ("linear", "rbf", "exp", "poly")
+KERNEL_KINDS = ("linear", "rbf", "exp")
 
 # below this, relative to the kernel values it is made of, a kernel-trick
 # squared distance is a bug, not roundoff
@@ -40,40 +39,23 @@ _PSD_SLACK = -1e-12
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family plus hyperparameters.
+    """Kernel family plus bandwidth.
 
     gamma=None means "resolve to 1/d from the input dimension at call time"
-    (rbf and exp only; ignored elsewhere).
+    (rbf and exp only; ignored by linear).
     """
 
     kind: str
     gamma: float | None = None
-    degree: int = 3
-    coef0: float = 1.0
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.gamma is not None and not self.gamma > 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not (isinstance(self.degree, int) and self.degree >= 1):
-            raise ValueError(f"degree must be a positive integer, got {self.degree}")
 
     def resolve_gamma(self, dim: int) -> float:
         return self.gamma if self.gamma is not None else 1.0 / dim
-
-
-@accepts_arrays
-def kernel_self_batch(spec: KernelSpec, points):
-    """K(s_i, s_i) per row. Constant 1 for rbf/exp, so those carry no
-    gradient by construction."""
-    if points.value.ndim != 2:
-        raise ValueError(f"expected (n, d) points, got {points.value.shape}")
-    if spec.kind == "linear":
-        return (points * points).sum(axis=1)
-    if spec.kind == "poly":
-        return ((points * points).sum(axis=1) + spec.coef0) ** spec.degree
-    return constant(np.ones(points.value.shape[0]))
 
 
 def _batch(x):
@@ -96,14 +78,9 @@ def mean_gram(spec: KernelSpec, a, b):
             or va.shape[0] < 1 or vb.shape[0] < 1):
         raise ValueError(f"incompatible batches {va.shape} and {vb.shape}")
     w = 1.0 / (va.shape[0] * vb.shape[0])
-    if spec.kind in ("linear", "poly"):
-        dots = va @ vb.T
-        if spec.kind == "linear":
-            k, slope = dots, np.ones_like(dots)
-        else:
-            base = dots + spec.coef0
-            k = base ** spec.degree
-            slope = spec.degree * base ** (spec.degree - 1)
+    if spec.kind == "linear":
+        k = va @ vb.T
+        slope = np.ones_like(k)
     else:
         gamma = spec.resolve_gamma(va.shape[1])
         if spec.kind == "rbf":
@@ -124,8 +101,8 @@ def mean_gram(spec: KernelSpec, a, b):
     value = k.sum() * w
 
     def vjp(g):
-        # dot-product kernels: dK(a_i, b_j)/da_i = slope_ij b_j;
-        # distance kernels:    dK(a_i, b_j)/da_i = slope_ij (a_i - b_j);
+        # linear kernel:    dK(a_i, b_j)/da_i = slope_ij b_j;
+        # distance kernels: dK(a_i, b_j)/da_i = slope_ij (a_i - b_j);
         # and the mirror images for b_j
         ga = gb = None
         if a.requires_grad:
@@ -189,7 +166,9 @@ def kernel_radius(spec: KernelSpec, points, gram=None):
     vp = points.value
     if vp.ndim != 2 or vp.shape[0] < 1:
         raise ValueError(f"expected non-empty (n, d) points, got {vp.shape}")
-    diag = kernel_self_batch(spec, points).mean()
+    # mean_i K(s_i, s_i): |s_i|^2 for linear, the constant 1 for rbf/exp
+    diag = ((points * points).sum(axis=1).mean() if spec.kind == "linear"
+            else constant(1.0))
     if gram is None:
         gram = mean_gram(spec, points, points)
     return _psd_checked(diag - gram, float(diag.value))

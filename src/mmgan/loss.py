@@ -83,7 +83,6 @@ class LossReport:
     step: int
     loss_g: float
     loss_d: float
-    l_orig: float
     manifold_term: float
     radius_term: float
     r_g: float

@@ -21,7 +21,8 @@ COVERAGE_DIVISOR = 10.0
 @dataclass(frozen=True)
 class MetricsRow:
     """One evaluation snapshot. r_g_value scores the generated samples
-    themselves as their own vector representations."""
+    themselves as their own vector representations; it is 0 on datasets
+    with mode centers, where it cannot vary (`trainer.score_samples`)."""
 
     step: int
     modes_covered: int

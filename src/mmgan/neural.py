@@ -198,13 +198,6 @@ class Tensor:
         a = self.value
         return node(a / other, (self,), lambda g: (_unbroadcast(g / other, a.shape),))
 
-    def __pow__(self, p):
-        if not isinstance(p, (int, float)):
-            raise TypeError("exponent must be a python scalar")
-        a = self.value
-        out = a ** p
-        return node(out, (self,), lambda g: (g * p * a ** (p - 1),))
-
     def __matmul__(self, other: "Tensor"):
         a, b = self.value, other.value
         if a.ndim != 2 or b.ndim != 2:

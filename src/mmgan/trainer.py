@@ -102,17 +102,15 @@ class TrainResult:
 def d_step(g_net: Network, d_net: Network, opt_d: SGD,
            x: np.ndarray, z: np.ndarray) -> tuple:
     """One discriminator update on the classification loss, the same in
-    every mode. Returns (loss_d, l_orig, fake), fake being G's graph node
-    on z: D trains on its value alone, so D's backward never walks G, and
-    g_step differentiates the same node, since G does not change in
-    between."""
+    every mode. Returns (loss_d, fake), fake being G's graph node on z:
+    D trains on its value alone, so D's backward never walks G, and g_step
+    differentiates the same node, since G does not change in between."""
     fake, _ = g_net.forward(z)
     out_real, _ = d_net.forward(x)
     out_fake, _ = d_net.forward(fake.value)
     loss_node = l_d_final(out_real, out_fake)
     opt_d.step(gradients(loss_node, d_net.parameters()))
-    loss_d = loss_node.item()
-    return loss_d, -loss_d, fake
+    return loss_node.item(), fake
 
 
 def update_trackers(spec: KernelSpec | None, feat_real: np.ndarray,
@@ -210,7 +208,7 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
             for _ in range(cfg.d_steps_per_g):
                 x = sample_batch(data, cfg.batch, rng_data)
                 z = rng_latent.standard_normal((cfg.batch, cfg.latent_dim))
-                loss_d, l_orig_val, fake = d_step(g_net, d_net, opt_d, x, z)
+                loss_d, fake = d_step(g_net, d_net, opt_d, x, z)
             # the updated discriminator's one pass over each batch
             feat_real = d_net.forward_values(x)[1]
             out_fake, feat_fake = d_net.forward(fake)
@@ -225,8 +223,8 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
             raise ValueError(f"{e} (step {step})") from e
 
         report = LossReport(step=step, loss_g=loss_g, loss_d=loss_d,
-                            l_orig=l_orig_val, manifold_term=m_term,
-                            radius_term=r_term, r_g=rg_val)
+                            manifold_term=m_term, radius_term=r_term,
+                            r_g=rg_val)
         for f in fields(report):
             if not np.isfinite(getattr(report, f.name)):
                 raise NumericalError(f"non-finite {f.name} (step {step})")
@@ -242,8 +240,9 @@ def draw_eval_batch(generator: Network, data: DatasetHandle, n_samples: int,
                     *, seed: int = 0, step: int = 0) -> tuple:
     """(fake, real) sample matrices from the evaluation stream, which is
     keyed by (seed, step) and independent of the training streams."""
-    if n_samples < 1:
-        raise ValueError("empty evaluation: n_samples must be >= 1")
+    # RunConfig.eval_samples's bound, which `mmgan eval --samples` obeys too
+    if n_samples < 2:
+        raise ValueError("empty evaluation or one sample: n_samples must be >= 2")
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, step, _EVAL_STREAM_TAG]))
     z = rng.standard_normal((n_samples, generator.in_dim))
@@ -256,16 +255,19 @@ def score_samples(fake: np.ndarray, real: np.ndarray, data: DatasetHandle, *,
                   step: int = 0) -> MetricsRow:
     """Score one generated batch against a real one.
 
-    Mode metrics are zero for datasets without mode centers (images);
-    the sphere gaps are measured in sample space and always present.
+    Mode metrics are zero for datasets without mode centers (images), and
+    r_g is zero for those with them: on two columns every centred row is
+    +-(1, -1)/sqrt(2), so r_g is the constant sqrt(n^2 - n) whatever the
+    samples. The sphere gaps are measured in sample space and always
+    present.
     """
     cg, rgap = manifold_gap(estimate(real), estimate(fake))
     if data.mode_centers is not None:
         modes, hq = mode_coverage(fake, data.mode_centers, data.mode_sigma)
-        frac = modes / len(data.mode_centers)
+        frac, rg = modes / len(data.mode_centers), 0.0
     else:
-        modes, hq, frac = 0, 0.0, 0.0
+        modes, hq, frac, rg = 0, 0.0, 0.0, r_g(fake)
     return MetricsRow(step=step, modes_covered=modes, coverage_fraction=frac,
                       hq_fraction=hq, centroid_gap=cg, radius_gap=rgap,
-                      r_g_value=r_g(fake))
+                      r_g_value=rg)
 

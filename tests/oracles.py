@@ -93,8 +93,6 @@ def kernel_eval(spec, a, b):
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     if spec.kind == "linear":
         return float((a * b).sum())
-    if spec.kind == "poly":
-        return float(((a * b).sum() + spec.coef0) ** spec.degree)
     gamma = spec.resolve_gamma(a.shape[0])
     diff = a - b
     sq = (diff * diff).sum()

@@ -12,8 +12,8 @@ from hypothesis import event, given, settings, strategies as st
 
 import mmgan.trainer as trainer_mod
 from mmgan.cli import main
-from mmgan.config import (KERNEL_CHOICES, TRAIN_KERNELS, RunConfig,
-                          manifest_text, parse_config_text)
+from mmgan.config import (KERNEL_CHOICES, RunConfig, manifest_text,
+                          parse_config_text)
 from mmgan.neural import ACTIVATIONS
 from mmgan.trainer import draw_eval_batch, score_samples
 from mmgan.persist import load_network
@@ -21,7 +21,7 @@ from mmgan.persist import load_network
 
 FAST = ["--dataset", "ring8", "--steps", "60", "--batch", "16",
         "--eval-interval", "30", "--eval-samples", "64", "--seed", "5"]
-HEADER = ("step,loss_g,loss_d,l_orig,manifold_term,radius_term,r_g,"
+HEADER = ("step,loss_g,loss_d,manifold_term,radius_term,r_g,"
           "modes_covered,hq_fraction,centroid_gap,radius_gap")
 
 
@@ -49,7 +49,7 @@ def test_metrics_csv_shape(tmp_path):
     assert len(lines) == 3
     for line in lines[1:]:
         cells = line.split(",")
-        assert len(cells) == 11
+        assert len(cells) == 10
         assert all(np.isfinite(float(c)) for c in cells)
     assert [line.split(",")[0] for line in lines[1:]] == ["30", "60"]
 
@@ -147,13 +147,11 @@ def test_train_rejects_bad_numeric_flag(tmp_path, capsys, flags):
 
 
 def test_kernel_choices_in_help(capsys):
-    # training rejects poly, so train's --kernel does not offer it;
-    # gradcheck still checks its gradients
-    for command, choices in (("train", "{none,linear,rbf,exp}"),
-                             ("gradcheck", "{none,linear,rbf,exp,poly}")):
+    # train and gradcheck accept one kernel list
+    for command in ("train", "gradcheck"):
         with pytest.raises(SystemExit):
             main([command, "--help"])
-        assert f"--kernel {choices}" in capsys.readouterr().out
+        assert "--kernel {none,linear,rbf,exp}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("line", [
@@ -286,7 +284,7 @@ def test_eval_needs_location(capsys):
 def test_gradcheck_full_table(capsys):
     assert main(["gradcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 8
     assert all("ok" in line for line in lines)
 
 
@@ -304,11 +302,15 @@ def test_gradcheck_fault_injection(capsys):
     assert "plain" in captured.err
 
 
-def test_idx_training_smoke(tmp_path):
+def _write_idx(path):
     rng = np.random.default_rng(0)
     imgs = rng.integers(0, 256, size=(80, 7, 7), dtype=np.uint8)
+    path.write_bytes(struct.pack(">IIII", 2051, 80, 7, 7) + imgs.tobytes())
+
+
+def test_idx_training_smoke(tmp_path):
     p = tmp_path / "mini.idx"
-    p.write_bytes(struct.pack(">IIII", 2051, 80, 7, 7) + imgs.tobytes())
+    _write_idx(p)
     out = tmp_path / "run"
     code = main(["train", "--dataset", "idx", "--idx-images", str(p),
                  "--steps", "40", "--eval-interval", "20", "--batch", "16",
@@ -317,6 +319,50 @@ def test_idx_training_smoke(tmp_path):
     names = {q.name for q in out.iterdir()}
     assert "samples_40.csv" in names
     assert not any(n.endswith(".svg") for n in names)
+
+
+def _idx_run(tmp_path, monkeypatch):
+    """A short idx run trained from tmp_path on a relative image path."""
+    _write_idx(tmp_path / "mini.idx")
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--dataset", "idx", "--idx-images", "mini.idx",
+                 "--steps", "4", "--batch", "16", "--eval-samples", "32",
+                 "--out", "idx_run"]) == 0
+    return tmp_path / "idx_run"
+
+
+def _eval_r_g(out, capsys, *flags) -> str:
+    capsys.readouterr()
+    assert main(["eval", "--out", str(out), *flags]) == 0
+    return capsys.readouterr().out.splitlines()[1].split(",")[-1]
+
+
+def test_eval_r_g_value_reads_0_where_it_cannot_vary(tmp_path, monkeypatch,
+                                                      capsys):
+    # on two columns r_g is the constant sqrt(n^2 - n), so ring8 prints 0
+    assert _eval_r_g(run_fast(tmp_path), capsys) == "0.0"
+    out = _idx_run(tmp_path, monkeypatch)
+    values = {float(_eval_r_g(out, capsys, "--seed", str(s))) for s in (0, 1)}
+    n = 32  # the run's eval_samples
+    assert len(values) == 2
+    assert all(np.isfinite(v) and 0.0 < v < np.sqrt(n * n - n) for v in values)
+
+
+def test_eval_runs_from_another_directory(tmp_path, monkeypatch, capsys):
+    out = _idx_run(tmp_path, monkeypatch)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["eval", "--out", str(out)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
+def test_eval_missing_idx_file_exits_1(tmp_path, monkeypatch):
+    out = _idx_run(tmp_path, monkeypatch)
+    (tmp_path / "mini.idx").unlink()
+    code, _, err = _main_quietly(["eval", "--out", str(out)])
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith("error:") and "mini.idx" in err
 
 
 @pytest.mark.parametrize("dims", [(0xFFFFFFFF,) * 3, (100_000_000, 28, 28)],
@@ -448,7 +494,7 @@ def test_train_fuzz_over_flag_space(data):
     argv = ["train",
             "--dataset", data.draw(st.sampled_from(["ring8", "grid25",
                                                     "rings2", "nosuch"])),
-            "--kernel", data.draw(st.sampled_from([*TRAIN_KERNELS, "poly",
+            "--kernel", data.draw(st.sampled_from([*KERNEL_CHOICES, "poly",
                                                    "cubic"]))]
     if data.draw(st.booleans()):
         argv.append("--baseline")

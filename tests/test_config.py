@@ -62,7 +62,7 @@ def test_loss_config_mapping():
     assert lc.kernel == KernelSpec("rbf", gamma=0.1)
     assert lc.alpha == 2.0 and lc.beta == 0.5
     assert RunConfig(kernel="none").loss_config().kernel is None
-    # training rejects poly, which gradcheck keeps
+    # poly is not a kernel choice
     with pytest.raises(ValueError, match="poly"):
         RunConfig(kernel="poly")
 

@@ -3,8 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from mmgan.gradcheck import (TOLERANCE, _build, _config, check_variant,
-                             run_suite, variant_names)
+from mmgan.gradcheck import (BASES, TOLERANCE, _build, _config,
+                             check_variant, run_suite, variant_names)
 from mmgan.loss import generator_terms
 from mmgan.manifold import ManifoldTracker
 from mmgan.neural import constant
@@ -14,7 +14,7 @@ from mmgan.trainer import update_trackers
 def test_variant_grid():
     names = variant_names()
     assert names == ["plain", "plain+rg", "linear", "linear+rg",
-                     "rbf", "rbf+rg", "exp", "exp+rg", "poly", "poly+rg"]
+                     "rbf", "rbf+rg", "exp", "exp+rg"]
 
 
 def test_variant_filtering():
@@ -34,7 +34,7 @@ def test_full_suite_passes_under_budget():
     t0 = time.time()
     rows = run_suite()
     elapsed = time.time() - t0
-    assert len(rows) == 10
+    assert len(rows) == 8
     for name, err, ok in rows:
         assert ok, f"{name}: {err:.2e}"
         assert err < TOLERANCE
@@ -65,7 +65,7 @@ def test_rg_variants_check_an_active_penalty(name):
     assert terms.rg > 0
 
 
-@pytest.mark.parametrize("base", ["plain", "linear", "rbf", "exp"])
+@pytest.mark.parametrize("base", BASES)
 def test_gradcheck_checks_the_trainer_objective(base):
     # fresh trackers adopt the mini-batch statistics on their first fold,
     # so the objective the trainer builds from update_trackers is the one

@@ -8,7 +8,6 @@ from mmgan.kernel import (
     KernelSpec,
     feature_sq_dist,
     kernel_radius,
-    kernel_self_batch,
     mean_gram,
 )
 from mmgan.neural import constant, parameter, gradients
@@ -18,8 +17,6 @@ ALL_SPECS = [
     KernelSpec("linear"),
     KernelSpec("rbf", gamma=0.5),
     KernelSpec("exp", gamma=0.3),
-    KernelSpec("poly", degree=2, coef0=1.0),
-    KernelSpec("poly", degree=3, coef0=0.5),
 ]
 
 
@@ -31,8 +28,6 @@ def test_closed_form_values():
     # exp kernel uses the plain euclidean distance: ||(3,4)|| = 5
     assert kernel_eval(KernelSpec("exp", gamma=0.1),
                        np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(np.exp(-0.5))
-    assert kernel_eval(KernelSpec("poly", degree=2, coef0=1.0),
-                       np.array([1.0, 0.0]), np.array([1.0, 1.0])) == pytest.approx(4.0)
 
 
 def test_rbf_self_similarity_is_one():
@@ -49,22 +44,11 @@ def test_gamma_defaults_to_inverse_dim():
     assert implicit == pytest.approx(np.exp(-0.25 * 4.0))
 
 
-def test_poly_has_one_spelling():
-    # the CLI, the config and gradcheck all say poly; so does the spec
-    assert KernelSpec("poly").kind == "poly"
-    with pytest.raises(ValueError, match="unknown kernel"):
-        KernelSpec("polynomial")
-
-
 def test_spec_validation():
     with pytest.raises(ValueError, match="unknown kernel"):
         KernelSpec("cosine")
     with pytest.raises(ValueError, match="gamma"):
         KernelSpec("rbf", gamma=0.0)
-    with pytest.raises(ValueError, match="degree"):
-        KernelSpec("poly", degree=0)
-    with pytest.raises(ValueError, match="degree"):
-        KernelSpec("poly", degree=2.0)
 
 
 def test_dimension_mismatch_raises():
@@ -90,23 +74,6 @@ def test_rbf_sq_dist_identity():
         a, b = rng.normal(size=3), rng.normal(size=3)
         want = 2.0 - 2.0 * np.exp(-0.7 * np.sum((a - b) ** 2))
         assert feature_sq_dist(spec, a, b) == pytest.approx(want, rel=1e-12)
-
-
-def test_poly_degree2_matches_explicit_feature_map():
-    # phi(x) = (x1^2, x2^2, sqrt2 x1 x2, sqrt(2c) x1, sqrt(2c) x2, c)
-    c = 1.5
-    spec = KernelSpec("poly", degree=2, coef0=c)
-
-    def phi(x):
-        return np.array([x[0] ** 2, x[1] ** 2, np.sqrt(2) * x[0] * x[1],
-                         np.sqrt(2 * c) * x[0], np.sqrt(2 * c) * x[1], c])
-
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        a, b = rng.normal(size=2), rng.normal(size=2)
-        assert kernel_eval(spec, a, b) == pytest.approx(phi(a) @ phi(b), rel=1e-12)
-        assert feature_sq_dist(spec, a, b) == pytest.approx(
-            np.sum((phi(a) - phi(b)) ** 2), rel=1e-10, abs=1e-10)
 
 
 def test_kernel_radius_linear_equals_mean_squared_distance():
@@ -147,8 +114,10 @@ def test_batch_eval_matches_loop():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(7, 3))
     for spec in ALL_SPECS:
-        np.testing.assert_allclose(kernel_self_batch(spec, pts),
-                                   [kernel_eval(spec, p, p) for p in pts], rtol=1e-12)
+        # the radius's self term mean_i K(p_i, p_i), read off radius + <mu, mu>
+        diag = kernel_radius(spec, pts) + mean_gram(spec, pts, pts)
+        assert diag == pytest.approx(
+            np.mean([kernel_eval(spec, p, p) for p in pts]), rel=1e-12)
         other = pts[:4] + 0.5
         loop = np.mean([[kernel_eval(spec, p, q) for q in other] for p in pts])
         assert mean_gram(spec, pts, other) == pytest.approx(loop, rel=1e-12)
@@ -209,7 +178,7 @@ def test_prebuilt_gram_gives_the_same_bits():
                 == feature_sq_dist(spec, pts, qts))
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind + str(s.degree))
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
 def test_gradients_through_kernel_ops(spec):
     rng = np.random.default_rng(8)
     arrays = {"a": rng.normal(size=4), "b": rng.normal(size=4),
@@ -229,4 +198,4 @@ def test_gradients_through_kernel_ops(spec):
 
 
 def test_kernel_kinds_is_complete():
-    assert set(KERNEL_KINDS) == {"linear", "rbf", "exp", "poly"}
+    assert set(KERNEL_KINDS) == {"linear", "rbf", "exp"}

@@ -120,7 +120,7 @@ def test_generator_terms_decomposition_identity():
     real, fake = rng.normal(size=(6, 5)), rng.normal(size=(6, 5))
     for cfg in (LossConfig(alpha=1.0, beta=1.0),
                 LossConfig(alpha=0.3, beta=2.0, kernel=KernelSpec("rbf", gamma=0.5)),
-                LossConfig(alpha=2.0, beta=0.0, kernel=KernelSpec("poly", degree=2))):
+                LossConfig(alpha=2.0, beta=0.0, kernel=KernelSpec("linear"))):
         t = generator_terms(cfg, real, fake)
         rw = cfg.alpha if cfg.kernel is not None else 1.0
         want = t.manifold + rw * t.radius + cfg.beta * (t.rg or 0.0)
@@ -192,7 +192,7 @@ def test_graph_and_numpy_paths_agree():
     rng = np.random.default_rng(9)
     real, fake = rng.normal(size=(6, 4)), rng.normal(size=(6, 4))
     for cfg in (LossConfig(), LossConfig(kernel=KernelSpec("exp", gamma=0.3)),
-                LossConfig(kernel=KernelSpec("poly", degree=2), alpha=0.4, beta=0.2)):
+                LossConfig(kernel=KernelSpec("linear"), alpha=0.4, beta=0.2)):
         node = generator_terms(cfg, constant(real), parameter(fake)).total
         assert node.item() == pytest.approx(
             generator_terms(cfg, real, fake).total, rel=1e-12)
@@ -203,7 +203,6 @@ def test_graph_and_numpy_paths_agree():
     LossConfig(alpha=0.5, beta=0.8, kernel=KernelSpec("linear")),
     LossConfig(alpha=1.0, beta=1.0, kernel=KernelSpec("rbf", gamma=0.6)),
     LossConfig(alpha=1.2, beta=0.4, kernel=KernelSpec("exp", gamma=0.4)),
-    LossConfig(alpha=1.0, beta=1.0, kernel=KernelSpec("poly", degree=2)),
 ], ids=lambda c: c.kernel.kind if c.kernel else "plain")
 def test_generator_loss_gradient_fd(cfg):
     rng = np.random.default_rng(10)
@@ -230,7 +229,7 @@ def test_loss_config_validation():
 
 
 def test_loss_report_is_frozen_record():
-    rep = LossReport(step=3, loss_g=1.0, loss_d=-1.0, l_orig=-0.5,
-                     manifold_term=0.4, radius_term=0.3, r_g=0.3)
+    rep = LossReport(step=3, loss_g=1.0, loss_d=-1.0, manifold_term=0.4,
+                     radius_term=0.3, r_g=0.3)
     with pytest.raises(AttributeError):
         rep.step = 4

@@ -36,8 +36,8 @@ def single_mode_dataset():
 
 
 def history_tuples(result):
-    return [(r.step, r.loss_g, r.loss_d, r.l_orig, r.manifold_term,
-             r.radius_term, r.r_g) for r in result.history]
+    return [(r.step, r.loss_g, r.loss_d, r.manifold_term, r.radius_term,
+             r.r_g) for r in result.history]
 
 
 def test_train_smoke_and_result_shape():
@@ -48,7 +48,7 @@ def test_train_smoke_and_result_shape():
     for r in res.history:
         for v in history_tuples(res)[r.step - 1][1:]:
             assert np.isfinite(v)
-        assert r.l_orig <= 0.0  # sum of log-probabilities
+        assert r.loss_d >= 0.0  # negated sum of log-probabilities
         assert r.r_g >= 0.0
     assert res.generator.in_dim == 2 and res.generator.layers[-1].fan_out == 2
     assert res.discriminator.layers[-1].fan_out == 1
@@ -204,9 +204,9 @@ def test_numerical_error_carries_step_index(monkeypatch):
 
 @pytest.mark.parametrize("keys, per_step, backward_nodes, tensors", [
     (dict(kernel="rbf", beta=1.0),
-     dict(forward=5, mean_gram=3, kernel_radius=2, r_g=2), [10, 29], 50),
+     dict(forward=5, mean_gram=3, kernel_radius=2, r_g=2), [10, 29], 46),
     (dict(kernel="rbf", beta=0.0),
-     dict(forward=5, mean_gram=3, kernel_radius=2, r_g=1), [10, 23], 44),
+     dict(forward=5, mean_gram=3, kernel_radius=2, r_g=1), [10, 23], 40),
     (dict(baseline=True),
      dict(forward=5, mean_gram=0, kernel_radius=0, r_g=1), [10, 17], 46),
 ], ids=["rbf", "rbf-beta0", "baseline"])
@@ -272,7 +272,7 @@ def test_shared_values_equal_a_fresh_value_pass(monkeypatch):
 
     def spy_d(g_net, d_net, opt_d, x, z):
         out = orig_d(g_net, d_net, opt_d, x, z)
-        batches.append((x, out[2].value))
+        batches.append((x, out[1].value))
         return out
 
     def spy_fold(tracker, c, r):
@@ -330,9 +330,9 @@ def test_d_step_touches_only_discriminator():
     rng = np.random.default_rng(1)
     x, z = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
     gs, ds = snapshot(g), snapshot(d)
-    loss_d, lo, fake = d_step(g, d, opt_d, x, z)
+    loss_d, fake = d_step(g, d, opt_d, x, z)
     assert changed(d, ds) and not changed(g, gs)
-    assert np.isfinite(loss_d) and lo <= 0.0
+    assert np.isfinite(loss_d) and loss_d >= 0.0
     # G's graph node, for g_step to differentiate
     assert fake.shape == (8, 2) and fake.requires_grad
 
