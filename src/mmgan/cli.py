@@ -16,8 +16,7 @@ import sys
 import numpy as np
 
 from mmgan.config import (
-    DATASETS,
-    KERNEL_CHOICES,
+    CHOICES,
     RunConfig,
     manifest_text,
     parse_config_text,
@@ -80,43 +79,26 @@ def _cells(record, skip=()) -> list:
             else _fmt(getattr(record, f.name)) for f in _fields(record, skip)]
 
 
-def _add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="key = value config file; flags override")
-    p.add_argument("--dataset", choices=DATASETS)
-    p.add_argument("--idx-images", dest="idx_images",
-                   help="idx image file (idx dataset only; .gz accepted)")
-    p.add_argument("--kernel", choices=KERNEL_CHOICES)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory (default under $MMGAN_OUT)")
-    p.add_argument("--baseline", action="store_const", const=True,
-                   default=None, help="train the GAN objective alone")
-    p.add_argument("--d-steps-per-g", dest="d_steps_per_g", type=int)
-    p.add_argument("--eval-interval", dest="eval_interval", type=int)
-    p.add_argument("--eval-samples", dest="eval_samples", type=int)
+_HELP = {"idx_images": "idx image file (idx dataset only; .gz accepted)",
+         "out": "output directory (default under $MMGAN_OUT)",
+         "baseline": "train the GAN objective alone"}
+
+
+def _add_key_flags(p: argparse.ArgumentParser, keys, helps=_HELP) -> None:
+    """One flag per RunConfig key, spelled with dashes. Values stay raw
+    strings: parse_config_text reads them and RunConfig checks them."""
+    for key in keys:
+        # choices list the values in --help; a bare --baseline means true
+        bare = {"nargs": "?", "const": "true"} if key == "baseline" else {}
+        p.add_argument("--" + key.replace("_", "-"), choices=CHOICES.get(key),
+                       help=helps.get(key), **bare)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    """Flags the user actually passed that name RunConfig fields."""
+    """Flags the user passed that name RunConfig fields, as raw strings."""
     keys = {f.name for f in dataclasses.fields(RunConfig)}
     return {key: value for key, value in vars(args).items()
             if key in keys and value is not None}
-
-
-def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    text = ""
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as f:
-                text = f.read()
-        except OSError as e:
-            raise _CliError(f"cannot read config {args.config}: {e}") from e
-    return parse_config_text(text, overrides=_overrides(args))
 
 
 def _write_samples(out_dir: str, step: int, fake, artifacts: list) -> None:
@@ -151,9 +133,13 @@ def _write_manifest(out_dir: str, cfg: RunConfig, artifacts: list) -> None:
 
 def cmd_train(args: argparse.Namespace) -> int:
     try:
-        cfg = _load_run_config(args)
+        text = ""
+        if args.config:
+            with open(args.config, encoding="utf-8") as f:
+                text = f.read()
+        cfg = parse_config_text(text, _overrides(args))
         data = cfg.load_dataset()
-    except (ValueError, OSError, _CliError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -230,9 +216,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except OSError as e:
         print(f"error: missing run manifest: {e}", file=sys.stderr)
         return EXIT_IO
-    # what the manifest names is a config error, as for train --config
+    # what the manifest names is a config error, as for train --config;
+    # the flags override its evaluation settings
     try:
-        cfg = parse_config_text(raw.decode("utf-8"))
+        cfg = parse_config_text(raw.decode("utf-8"), _overrides(args))
         data = cfg.load_dataset()
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -244,12 +231,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"error: cannot load parameters: {e}", file=sys.stderr)
         return EXIT_IO
 
-    n = cfg.eval_samples if args.samples is None else args.samples
-    seed = cfg.seed if args.seed is None else args.seed
-    step = cfg.steps if args.step is None else args.step
     try:
-        fake, real = draw_eval_batch(net, data, n, seed=seed, step=step)
-        row = score_samples(fake, real, data, step=step)
+        fake, real = draw_eval_batch(net, data, cfg.eval_samples,
+                                     seed=cfg.seed, step=cfg.steps)
+        row = score_samples(fake, real, data, step=cfg.steps)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -261,16 +246,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    # only the flags given: check_variant owns the defaults
+    given = _overrides(args)
     try:
-        names = variant_names(kernel=args.kernel, beta=args.beta)
+        cfg = parse_config_text("", given)
+        options = {key: getattr(cfg, key) for key in given}
+        names = variant_names(kernel=options.pop("kernel", None),
+                              beta=options.get("beta"))
+        rows = run_suite(names, inject_fault=args.inject_fault, **options)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    # only the flags given: check_variant owns the defaults
-    given = {key: getattr(args, key)
-             for key in ("alpha", "beta", "gamma", "seed")
-             if getattr(args, key) is not None}
-    rows = run_suite(names, inject_fault=args.inject_fault, **given)
     width = max(len(name) for name, _, _ in rows)
     for name, err, ok in rows:
         print(f"{name:<{width}}  {err:.3e}  {'ok' if ok else 'FAIL'}")
@@ -288,28 +274,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a model and write a run "
                              "directory (metrics, samples, params, manifest)")
-    _add_run_flags(p_train)
+    p_train.add_argument("--config",
+                         help="key = value config file; flags override")
+    _add_key_flags(p_train, [f.name for f in dataclasses.fields(RunConfig)])
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="score a saved generator; prints "
                             "one CSV metrics row")
     p_eval.add_argument("--out", help="run directory containing "
                         f"{MANIFEST_FILE} and {PARAMS_FILE}")
-    p_eval.add_argument("--samples", type=int,
-                        help="evaluation sample count (default from manifest)")
-    p_eval.add_argument("--seed", type=int)
-    p_eval.add_argument("--step", type=int,
-                        help="evaluation stream index (default: trained steps)")
+    _add_key_flags(p_eval, ("eval_samples", "seed", "steps"), helps={
+        "eval_samples": "evaluation sample count (default from manifest)",
+        "steps": "evaluation stream index (default: trained steps)"})
     p_eval.set_defaults(func=cmd_eval)
 
     p_gc = sub.add_parser("gradcheck", help="compare analytic gradients "
                           "against central differences")
-    p_gc.add_argument("--kernel", choices=KERNEL_CHOICES,
-                      help="check one loss family (default: all)")
-    p_gc.add_argument("--alpha", type=float)
-    p_gc.add_argument("--beta", type=float)
-    p_gc.add_argument("--gamma", type=float)
-    p_gc.add_argument("--seed", type=int)
+    _add_key_flags(p_gc, ("kernel", "alpha", "beta", "gamma", "seed"), helps={
+        "kernel": "check one loss family (default: all)"})
     p_gc.add_argument("--inject-fault", dest="inject_fault",
                       action="store_true",
                       help="corrupt one analytic gradient to prove the "

@@ -10,6 +10,7 @@ manifest loadable while still closing over the output directory.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -18,12 +19,17 @@ from mmgan.kernel import KERNEL_KINDS, KernelSpec
 from mmgan.loss import LossConfig
 from mmgan.neural import ACTIVATIONS
 
-__all__ = ["RunConfig", "DATASETS", "KERNEL_CHOICES", "OUT_ENV",
+__all__ = ["RunConfig", "CHOICES", "DATASETS", "KERNEL_CHOICES", "OUT_ENV",
            "parse_config_text", "manifest_text", "resolve_out_dir"]
 
 DATASETS = ("ring8", "grid25", "rings2", "idx")
 KERNEL_CHOICES = ("none", *KERNEL_KINDS)
+CHOICES = {"dataset": DATASETS, "kernel": KERNEL_CHOICES,
+           "g_out_activation": ACTIVATIONS}
 OUT_ENV = "MMGAN_OUT"
+# An evaluation's peak memory is r_g's n x n matrices on idx, about
+# 2.7 * n^2 * 8 bytes (184 MB at n=3000, 784 columns): 2 GB at this bound.
+MAX_EVAL_SAMPLES = 10_000
 _ARTIFACT_PREFIX = "# artifact:"
 
 
@@ -31,8 +37,8 @@ _ARTIFACT_PREFIX = "# artifact:"
 class RunConfig:
     """Everything one run needs besides the dataset itself, flattened to
     scalars so it can live in a key=value file: each field is a manifest
-    key, parsed and formatted by its type annotation. Construction rejects
-    values outside each field's range."""
+    key and a flag, read and written by its type annotation. Construction
+    rejects values outside each field's range."""
 
     dataset: str = "ring8"
     idx_images: str | None = None
@@ -66,12 +72,10 @@ class RunConfig:
     eval_samples: int = 800
 
     def __post_init__(self):
-        if self.dataset not in DATASETS:
-            raise ValueError(f"unknown dataset {self.dataset!r}; "
-                             f"choose from {DATASETS}")
-        if self.kernel not in KERNEL_CHOICES:
-            raise ValueError(f"unknown kernel {self.kernel!r}; "
-                             f"choose from {KERNEL_CHOICES}")
+        for key, choices in CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ValueError(f"unknown {key} {getattr(self, key)!r}; "
+                                 f"choose from {choices}")
         if self.dataset == "idx" and not self.idx_images:
             raise ValueError("dataset idx needs idx_images")
         # r_g compares rows, so a batch and an evaluation need two of them
@@ -81,25 +85,26 @@ class RunConfig:
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}, "
                                  f"got {getattr(self, key)}")
-        for key in ("lr_g", "lr_d"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be positive, "
+        if self.eval_samples > MAX_EVAL_SAMPLES:
+            raise ValueError(f"eval_samples must be <= {MAX_EVAL_SAMPLES}, "
+                             f"got {self.eval_samples}")
+        for key, least, below in (("alpha", 0, math.inf), ("beta", 0, math.inf),
+                                  ("delta", 0, 1), ("momentum_g", 0, 1),
+                                  ("momentum_d", 0, 1)):
+            if not least <= getattr(self, key) < below:
+                raise ValueError(f"{key} must be in [{least}, {below}), "
                                  f"got {getattr(self, key)}")
-        for key in ("delta", "momentum_g", "momentum_d"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ValueError(f"{key} must be in [0, 1), "
+        for key in ("lr_g", "lr_d", "gamma"):  # gamma = none: 1/dim
+            if getattr(self, key) is not None and not (
+                    0 < getattr(self, key) < math.inf):
+                raise ValueError(f"{key} must be positive and finite, "
                                  f"got {getattr(self, key)}")
-        if self.g_out_activation not in ACTIVATIONS:
-            raise ValueError(f"unknown g_out_activation "
-                             f"{self.g_out_activation!r}; "
-                             f"choose from {ACTIVATIONS}")
         if any(width < 1 for width in (*self.g_hidden, *self.d_hidden)):
             raise ValueError("hidden layer widths must be >= 1")
         # D's last hidden layer holds the representations r_g correlates
         if not self.d_hidden or self.d_hidden[-1] < 2:
             raise ValueError("d_hidden must end in a feature width >= 2, "
                              f"got {self.d_hidden}")
-        self.loss_config()
 
     def loss_config(self) -> LossConfig:
         kernel = (None if self.kernel == "none"
@@ -115,39 +120,43 @@ class RunConfig:
 # field name -> annotation, e.g. "int" or "float | None"
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 _OPTIONAL = " | None"
+# annotation -> (what a value must be, reader, writer); none is None
+_KINDS = {
+    "bool": ("true or false", {"true": True, "false": False}.__getitem__,
+             lambda v: "true" if v else "false"),
+    "tuple": ("comma-separated integers",
+              lambda raw: tuple(int(p) for p in raw.split(",") if p.strip()),
+              lambda v: ",".join(str(w) for w in v)),
+    "int": ("an integer", int, str),
+    "float": ("a number", float, lambda v: repr(float(v))),
+    "str": ("a string", str, str),
+}
 
 
 def _parse_value(key: str, raw: str):
+    """The value of a config line or a flag, read by the key's annotation."""
     kind = _FIELDS[key]
     if kind.endswith(_OPTIONAL):
         if raw == "none":
             return None
         kind = kind.removesuffix(_OPTIONAL)
-    if kind == "bool":
-        if raw not in ("true", "false"):
-            raise ValueError(f"{key} must be true or false, got {raw!r}")
-        return raw == "true"
-    if kind == "tuple":
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    return {"int": int, "float": float, "str": str}[kind](raw)
+    expected, read, _ = _KINDS[kind]
+    try:
+        return read(raw)
+    except (KeyError, ValueError):
+        raise ValueError(f"{key} must be {expected}, got {raw!r}") from None
 
 
 def _format_value(key: str, value) -> str:
-    kind = _FIELDS[key].removesuffix(_OPTIONAL)
     if value is None:
         return "none"
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "tuple":
-        return ",".join(str(v) for v in value)
-    if kind == "float":
-        return repr(float(value))
-    return str(value)
+    return _KINDS[_FIELDS[key].removesuffix(_OPTIONAL)][2](value)
 
 
 def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
-    """Build a RunConfig from file text, then apply overrides on top.
-    Unknown keys and malformed lines raise ValueError."""
+    """Build a RunConfig from file text, then apply overrides (raw values,
+    spelled as in the file) on top. Bad keys, lines or values raise
+    ValueError."""
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -165,7 +174,7 @@ def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
         for key, value in overrides.items():
             if key not in _FIELDS:
                 raise ValueError(f"unknown config key {key!r}")
-            values[key] = value
+            values[key] = _parse_value(key, value)
     return RunConfig(**values)
 
 

@@ -240,7 +240,7 @@ def draw_eval_batch(generator: Network, data: DatasetHandle, n_samples: int,
                     *, seed: int = 0, step: int = 0) -> tuple:
     """(fake, real) sample matrices from the evaluation stream, which is
     keyed by (seed, step) and independent of the training streams."""
-    # RunConfig.eval_samples's bound, which `mmgan eval --samples` obeys too
+    # RunConfig.eval_samples's lower bound, for callers without a RunConfig
     if n_samples < 2:
         raise ValueError("empty evaluation or one sample: n_samples must be >= 2")
     rng = np.random.default_rng(

@@ -1,10 +1,12 @@
 """End-to-end checks of the command line: artifacts, exit codes, reruns."""
 import contextlib
 import csv
+import dataclasses
 import io
 import os
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -136,6 +138,8 @@ def test_train_rejects_bad_flag_value(capsys):
     ["--steps", "0"], ["--batch", "1"], ["--alpha", "-1"], ["--delta", "1.5"],
     ["--kernel", "rbf", "--gamma", "-1"], ["--eval-interval", "0"],
     ["--eval-samples", "1"], ["--kernel", "poly"],
+    ["--kernel", "none", "--gamma", "-1"], ["--alpha", "inf"],
+    ["--eval-samples", "100000000000000"], ["--steps", "x"],
 ], ids=lambda f: " ".join(f))
 def test_train_rejects_bad_numeric_flag(tmp_path, capsys, flags):
     out = tmp_path / "run"
@@ -259,10 +263,10 @@ def test_eval_matches_library_call(tmp_path, capsys):
 
 def test_eval_empty_sample_count(tmp_path, capsys):
     out = run_fast(tmp_path)
-    assert main(["eval", "--out", str(out), "--samples", "0"]) == 1
-    assert "empty evaluation" in capsys.readouterr().err
+    assert main(["eval", "--out", str(out), "--eval-samples", "0"]) == 1
+    assert "eval_samples must be >= 2" in capsys.readouterr().err
     # r_g, one of the scores, compares at least two samples
-    assert main(["eval", "--out", str(out), "--samples", "1"]) == 1
+    assert main(["eval", "--out", str(out), "--eval-samples", "1"]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -300,6 +304,19 @@ def test_gradcheck_fault_injection(capsys):
     captured = capsys.readouterr()
     assert "FAIL" in captured.out
     assert "plain" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gradcheck", "--alpha", "-1"], ["gradcheck", "--beta", "-1"],
+    ["gradcheck", "--gamma", "-1"], ["gradcheck", "--seed", "-1"],
+    ["gradcheck", "--alpha", "inf"], ["gradcheck", "--seed", "x"],
+    ["eval", "--out", "{run}", "--eval-samples", "100000000000000"],
+    ["eval", "--out", "{run}", "--seed", "-1"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_settings_of_eval_and_gradcheck_are_range_checked(finished_run, argv):
+    code, out, err = _main_quietly([a.format(run=finished_run) for a in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def _write_idx(path):
@@ -421,15 +438,22 @@ def _widths(least, min_size):
         lambda ws: ",".join(map(str, ws)))
 
 
-# key: (values kept small enough for a fast run, values a run cannot take)
+# key: (values kept small enough for a fast run, values a run cannot take);
+# every key but the paths idx_images and out, each also a `train` flag
 _FUZZ_KEYS = {
+    "dataset": (st.sampled_from(["ring8", "grid25", "rings2"]),
+                st.sampled_from(["nosuch", "idx"])),
+    "kernel": (st.sampled_from(KERNEL_CHOICES),
+               st.sampled_from(["poly", "cubic"])),
+    "baseline": (st.sampled_from(["true", "false"]),
+                 st.sampled_from(["yes", "1", ""])),
     "steps": (st.integers(1, 3), st.integers(-3, 0)),
     "batch": (st.integers(2, 8), st.integers(-3, 1)),
     "seed": (st.integers(0, 3), st.integers(-3, -1)),
     "latent_dim": (st.integers(1, 3), st.integers(-3, 0)),
     "d_steps_per_g": (st.integers(1, 2), st.integers(-3, 0)),
     "eval_interval": (st.integers(1, 3), st.integers(-3, 0)),
-    "eval_samples": (st.integers(2, 16), st.integers(-3, 1)),
+    "eval_samples": (st.integers(2, 16), st.integers(-3, 1) | st.just(10**14)),
     "alpha": (st.floats(0, 2), _BAD_WEIGHT),
     "beta": (st.floats(0, 2), _BAD_WEIGHT),
     "delta": (st.floats(0, 0.99), st.sampled_from([1.0, 1.5, -0.1, _NAN])),
@@ -442,17 +466,26 @@ _FUZZ_KEYS = {
     "d_hidden": (_widths(2, 1), st.sampled_from(["", "4,1"])),
     "g_out_activation": (st.sampled_from(ACTIVATIONS), st.just("foo")),
 }
+# values no key's annotation reads, or that argparse reads as a missing value
+_GARBLED = st.sampled_from(["", "x", "1.5.0", "1e", "0x10", "--", "-x",
+                            "1,2", " "])
+
+
+def _assert_clean_exit(code, err, out):
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 1:
+        assert not os.path.exists(out)
+    finished = all(os.path.exists(os.path.join(out, name))
+                   for name in ("manifest.txt", "generator.bin"))
+    assert code == 0 or not finished
 
 
 @settings(deadline=None, max_examples=100)
 @given(st.data())
 def test_train_fuzz_over_config_space(data):
     bad = data.draw(st.sets(st.sampled_from(sorted(_FUZZ_KEYS)), max_size=1))
-    lines = [
-        f"dataset = {data.draw(st.sampled_from(['ring8', 'grid25', 'rings2']))}",
-        f"kernel = {data.draw(st.sampled_from(KERNEL_CHOICES))}",
-        f"baseline = {data.draw(st.sampled_from(['true', 'false']))}",
-    ]
+    lines = []
     for key, (good_values, bad_values) in _FUZZ_KEYS.items():
         value = data.draw(bad_values if key in bad else good_values)
         lines.append(f"{key} = {value}")
@@ -461,21 +494,8 @@ def test_train_fuzz_over_config_space(data):
         with open(cfg, "w", encoding="utf-8") as f:
             f.write("\n".join(lines) + "\n")
         out = os.path.join(tmp, "run")
-        code = main(["train", "--config", cfg, "--out", out])
-        assert code in (0, 1, 2, 3)
-        if code == 1:
-            assert not os.path.exists(out)
-        finished = all(os.path.exists(os.path.join(out, name))
-                       for name in ("manifest.txt", "generator.bin"))
-        assert code == 0 or not finished
-
-
-# the _FUZZ_KEYS that `mmgan train` also takes as flags
-_FLAG_KEYS = ("steps", "batch", "seed", "d_steps_per_g", "eval_interval",
-              "eval_samples", "alpha", "beta", "delta", "gamma")
-# values no flag's type parses, or that argparse reads as a missing value
-_GARBLED = st.sampled_from(["", "x", "1.5.0", "1e", "0x10", "--", "-x",
-                            "1,2", " "])
+        code, _, err = _main_quietly(["train", "--config", cfg, "--out", out])
+        _assert_clean_exit(code, err, out)
 
 
 def _main_quietly(argv) -> tuple:
@@ -489,17 +509,11 @@ def _main_quietly(argv) -> tuple:
 @settings(deadline=None, max_examples=100)
 @given(st.data())
 def test_train_fuzz_over_flag_space(data):
-    bad = data.draw(st.sets(st.sampled_from(_FLAG_KEYS), max_size=1))
-    garbled = data.draw(st.sets(st.sampled_from(_FLAG_KEYS), max_size=1))
-    argv = ["train",
-            "--dataset", data.draw(st.sampled_from(["ring8", "grid25",
-                                                    "rings2", "nosuch"])),
-            "--kernel", data.draw(st.sampled_from([*KERNEL_CHOICES, "poly",
-                                                   "cubic"]))]
-    if data.draw(st.booleans()):
-        argv.append("--baseline")
-    for key in _FLAG_KEYS:
-        good_values, bad_values = _FUZZ_KEYS[key]
+    bad = data.draw(st.sets(st.sampled_from(sorted(_FUZZ_KEYS)), max_size=1))
+    garbled = data.draw(st.sets(st.sampled_from(sorted(_FUZZ_KEYS)),
+                                max_size=1))
+    argv = ["train"]
+    for key, (good_values, bad_values) in _FUZZ_KEYS.items():
         if key in garbled:
             value = data.draw(_GARBLED)
         else:
@@ -509,13 +523,57 @@ def test_train_fuzz_over_flag_space(data):
         out = os.path.join(tmp, "run")
         code, _, err = _main_quietly([*argv, "--out", out])
         event(f"exit {code}")
-        assert code in (0, 1, 2, 3, 4)
-        assert "Traceback" not in err
-        if code == 1:
-            assert not os.path.exists(out)
-        finished = all(os.path.exists(os.path.join(out, name))
-                       for name in ("manifest.txt", "generator.bin"))
-        assert code == 0 or not finished
+        _assert_clean_exit(code, err, out)
+
+
+class _Built(Exception):
+    """Raised in place of training, carrying the RunConfig `train` built."""
+
+
+def _train_config(argv, tmp):
+    """The RunConfig `mmgan train argv` would train, or None if it exits 1.
+    Runs land in tmp."""
+    def stand_in(cfg, data, on_eval=None):
+        raise _Built(cfg)
+
+    with mock.patch("mmgan.cli.train", stand_in), \
+            mock.patch.dict(os.environ, {"MMGAN_OUT": tmp}):
+        try:
+            code, _, err = _main_quietly(argv)
+        except _Built as built:
+            return built.args[0]
+    assert code == 1 and err.startswith("error:") and "Traceback" not in err
+    return None
+
+
+_PATHS = st.sampled_from(["none", "", "a", "a/b.idx"])
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_flag_and_config_line_build_the_same_run(data):
+    # one parser: `--key v` means what a `key = v` line means
+    key = data.draw(st.sampled_from([f.name for f in
+                                     dataclasses.fields(RunConfig)]))
+    if key in _FUZZ_KEYS:
+        good_values, bad_values = _FUZZ_KEYS[key]
+        # a file line cannot spell surrounding blanks, and argparse reads
+        # "--" as the end of the options, not as a value
+        value = str(data.draw(good_values | bad_values | _GARBLED.filter(
+            lambda v: v == v.strip() and v != "--")))
+    else:
+        value = data.draw(_PATHS)
+    with tempfile.TemporaryDirectory() as tmp:
+        if key == "out" and value not in ("none", ""):
+            value = os.path.join(tmp, value)
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as f:
+            f.write(f"{key} = {value}\n")
+        from_flag = _train_config(
+            ["train", "--" + key.replace("_", "-"), value], tmp)
+        from_line = _train_config(["train", "--config", cfg], tmp)
+    event("exit 1" if from_flag is None else "built")
+    assert from_flag == from_line
 
 
 @pytest.fixture(scope="module")
@@ -525,15 +583,17 @@ def finished_run(tmp_path_factory):
     return out
 
 
-# --samples allocates that many rows, so the drawn counts stay small
+# --eval-samples allocates that many rows, so the counts it may take stay
+# small; 10**14 is beyond the bound RunConfig sets
 @settings(deadline=None, max_examples=100)
 @given(st.data())
 def test_eval_fuzz_over_flag_space(finished_run, data):
     argv = ["eval", "--out", str(finished_run)]
-    for flag, good_values in (("--samples", st.integers(-3, 300)),
-                              ("--seed", st.integers(-3, 2 ** 70)),
-                              ("--step", st.integers(-3, 2 ** 70))):
-        value = data.draw(st.none() | good_values | _GARBLED)
+    for flag, values in (("--eval-samples",
+                          st.integers(-3, 300) | st.just(10**14)),
+                         ("--seed", st.integers(-3, 2 ** 70)),
+                         ("--steps", st.integers(-3, 2 ** 70))):
+        value = data.draw(st.none() | values | _GARBLED)
         if value is not None:
             argv += [flag, str(value)]
     code, out, err = _main_quietly(argv)

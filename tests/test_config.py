@@ -48,6 +48,16 @@ def test_bool_parsing_is_strict():
         parse_config_text("baseline = yes\n")
 
 
+@pytest.mark.parametrize("line", [
+    "steps = x", "alpha = 1.5.0", "g_hidden = 4,x", "baseline = yes"])
+def test_unreadable_value_names_its_key(line):
+    key = line.split()[0]
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        parse_config_text(line + "\n")
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        parse_config_text("", overrides={key: line.split("= ")[1]})
+
+
 def test_validation():
     with pytest.raises(ValueError, match="unknown dataset"):
         RunConfig(dataset="ring9")

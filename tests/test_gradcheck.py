@@ -3,6 +3,8 @@ import time
 import numpy as np
 import pytest
 
+import mmgan.gradcheck as gradcheck_mod
+from mmgan.cli import main
 from mmgan.gradcheck import (BASES, TOLERANCE, _build, _config,
                              check_variant, run_suite, variant_names)
 from mmgan.loss import generator_terms
@@ -46,6 +48,23 @@ def test_fault_injection_fails():
     assert rows[0][2] is False
 
 
+def test_nan_gradient_fails_its_row(monkeypatch, capsys):
+    # max(0.0, nan) is 0.0, so a NaN must not be folded away with max()
+    exact = gradcheck_mod.gradients
+
+    def planted(*args, **kwargs):
+        grads = exact(*args, **kwargs)
+        first = next(iter(grads))
+        grads[first] = grads[first].copy()
+        grads[first].flat[0] = np.nan
+        return grads
+
+    monkeypatch.setattr(gradcheck_mod, "gradients", planted)
+    assert np.isnan(check_variant("plain"))
+    assert main(["gradcheck", "--kernel", "none", "--beta", "0"]) == 4
+    assert capsys.readouterr().out.split() == ["plain", "nan", "FAIL"]
+
+
 def test_beta_zero_matches_base():
     # with beta forced to 0 the +rg variant collapses onto the base one
     base = check_variant("rbf", beta=0.0)
@@ -53,11 +72,13 @@ def test_beta_zero_matches_base():
     assert base == tagged
 
 
-@pytest.mark.parametrize("name", [n for n in variant_names() if n.endswith("+rg")])
-def test_rg_variants_check_an_active_penalty(name):
+@pytest.mark.parametrize("name, seed", [
+    pytest.param(name, seed, id=name if seed == 0 else f"{name}-seed{seed}")
+    for name in variant_names() if name.endswith("+rg") for seed in range(4)])
+def test_rg_variants_check_an_active_penalty(name, seed):
     # a zero hinge has no gradient, which would leave the +rg row checking
     # nothing beyond its base row
-    g_net, d_net, z, x = _build(0)
+    g_net, d_net, z, x = _build(seed)
     fake = g_net.forward_values(z)[0]
     terms = generator_terms(_config(name, 1.0, 1.0, None),
                             d_net.forward_values(x)[1],
