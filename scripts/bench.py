@@ -6,10 +6,11 @@
 Run from the repository root. Runs the benchmark twice, at seed 1 and 30
 seconds per workload as every BENCH file has: every workload untraced,
 for the end-to-end metrics, then ring8_matcher traced, for its
-deterministic work counters. The file records the machine, the end-to-end
-result and the ring8 counters, with the commands that produced them and
-the commit they were measured on (`commit` is null, and `parent` names
-HEAD, when the working tree has uncommitted changes).
+deterministic work counters and its median ms per call of each phase.
+The file records the machine, the end-to-end result and the ring8
+counters and phases, with the commands that produced them and the commit
+they were measured on (`commit` is null, and `parent` names HEAD, when
+the working tree has uncommitted changes).
 """
 import argparse
 import json
@@ -31,6 +32,14 @@ COUNTERS = (
     "neural.nodes_per_backward",
     "trace.untraced_steps_per_s",
     "trace.traced_steps_per_s",
+)
+# the traced ring8 run's time per phase of a step, and of evaluation with
+# its artifacts
+PHASES = (
+    "trainer.d_step.ms",
+    "trainer.update_trackers.ms",
+    "trainer.g_step.ms",
+    "trainer.eval_callback.ms",
 )
 
 
@@ -57,6 +66,7 @@ def assemble(label: str, revisions: dict, end_to_end_stdout: str,
         "machine": machine,
         "end_to_end": end_to_end,
         "ring8_matcher_counters": {k: traced["metrics"][k] for k in COUNTERS},
+        "ring8_matcher_phases": {k: traced["metrics"][k] for k in PHASES},
     }
 
 

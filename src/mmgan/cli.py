@@ -61,6 +61,13 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _fmt_row(row: np.ndarray) -> str:
+    """One CSV line of a float row, each cell as _fmt writes it: `tolist`
+    yields Python floats, and their repr is _fmt's text. A repr holds no
+    comma, quote or newline, so no cell needs quoting."""
+    return ",".join(map(repr, row.tolist())) + "\n"
+
+
 def _fields(record, skip=()) -> list:
     return [f for f in dataclasses.fields(record) if f.name not in skip]
 
@@ -105,10 +112,10 @@ def _write_samples(out_dir: str, step: int, fake, artifacts: list) -> None:
     name = f"samples_{step}.csv"
     with open(os.path.join(out_dir, name), "w", newline="",
               encoding="utf-8") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow([f"x{i}" for i in range(fake.shape[1])])
+        f.write(",".join(f"x{i}" for i in range(fake.shape[1])) + "\n")
+        # a row at a time: the whole matrix as text would be many MB
         for row in fake:
-            w.writerow([_fmt(v) for v in row])
+            f.write(_fmt_row(row))
     artifacts.append(name)
 
 

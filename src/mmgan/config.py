@@ -30,6 +30,16 @@ OUT_ENV = "MMGAN_OUT"
 # An evaluation's peak memory is r_g's n x n matrices on idx, about
 # 2.7 * n^2 * 8 bytes (184 MB at n=3000, 784 columns): 2 GB at this bound.
 MAX_EVAL_SAMPLES = 10_000
+# A training step's peak memory is about 5.5 * n^2 * 8 bytes at batch n
+# (the kernel's mean Grams and r_g's matrices; 46 MB at n=1024 under rbf):
+# 740 MB at this bound.
+MAX_BATCH = 4096
+# A layer w wide on both sides holds about four w x w float64 arrays (the
+# weights, their gradient, SGD's velocity and, in G, the average): 128 MB
+# at this width, and a net at most 1 GB at this depth. latent_dim is G's
+# first width.
+MAX_WIDTH = 2048
+MAX_HIDDEN_LAYERS = 8
 _ARTIFACT_PREFIX = "# artifact:"
 
 
@@ -85,9 +95,11 @@ class RunConfig:
             if getattr(self, key) < least:
                 raise ValueError(f"{key} must be >= {least}, "
                                  f"got {getattr(self, key)}")
-        if self.eval_samples > MAX_EVAL_SAMPLES:
-            raise ValueError(f"eval_samples must be <= {MAX_EVAL_SAMPLES}, "
-                             f"got {self.eval_samples}")
+        for key, most in (("eval_samples", MAX_EVAL_SAMPLES),
+                          ("batch", MAX_BATCH), ("latent_dim", MAX_WIDTH)):
+            if getattr(self, key) > most:
+                raise ValueError(f"{key} must be <= {most}, "
+                                 f"got {getattr(self, key)}")
         for key, least, below in (("alpha", 0, math.inf), ("beta", 0, math.inf),
                                   ("delta", 0, 1), ("momentum_g", 0, 1),
                                   ("momentum_d", 0, 1)):
@@ -99,8 +111,13 @@ class RunConfig:
                     0 < getattr(self, key) < math.inf):
                 raise ValueError(f"{key} must be positive and finite, "
                                  f"got {getattr(self, key)}")
-        if any(width < 1 for width in (*self.g_hidden, *self.d_hidden)):
-            raise ValueError("hidden layer widths must be >= 1")
+        if any(not 1 <= width <= MAX_WIDTH
+               for width in (*self.g_hidden, *self.d_hidden)):
+            raise ValueError(f"hidden layer widths must be in [1, {MAX_WIDTH}]")
+        for key in ("g_hidden", "d_hidden"):
+            if len(getattr(self, key)) > MAX_HIDDEN_LAYERS:
+                raise ValueError(f"{key} must have at most {MAX_HIDDEN_LAYERS} "
+                                 f"layers, got {len(getattr(self, key))}")
         # D's last hidden layer holds the representations r_g correlates
         if not self.d_hidden or self.d_hidden[-1] < 2:
             raise ValueError("d_hidden must end in a feature width >= 2, "

@@ -52,6 +52,7 @@ __all__ = [
     "rg_penalty",
     "generator_terms",
     "l_d_final",
+    "l_g_baseline",
 ]
 
 PROB_CLAMP = 1e-7
@@ -101,6 +102,14 @@ class GeneratorTerms:
     total: object
 
 
+def _check_probabilities(**named) -> None:
+    for name, x in named.items():
+        if x.value.size < 1:
+            raise ValueError(f"{name} is empty")
+        if x.value.min() < 0.0 or x.value.max() > 1.0:
+            raise ValueError(f"{name} must hold probabilities in [0, 1]")
+
+
 @accepts_arrays
 def l_orig(d_real, d_fake):
     """mean log D(real) + mean log(1 - D(fake)), probabilities clamped to
@@ -109,11 +118,7 @@ def l_orig(d_real, d_fake):
     One graph node with a hand-written vector-Jacobian product; a
     probability outside the open clamp interval gets gradient 0.
     """
-    for name, x in (("d_real", d_real), ("d_fake", d_fake)):
-        if x.value.size < 1:
-            raise ValueError(f"{name} is empty")
-        if x.value.min() < 0.0 or x.value.max() > 1.0:
-            raise ValueError(f"{name} must hold probabilities in [0, 1]")
+    _check_probabilities(d_real=d_real, d_fake=d_fake)
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
     r, f = d_real.value, d_fake.value
     cr, cf1 = np.clip(r, lo, hi), 1.0 - np.clip(f, lo, hi)
@@ -135,6 +140,28 @@ def l_d_final(d_real, d_fake):
     negation of l_orig. The discriminator only learns the representation;
     the manifold matching is the generator's objective alone."""
     return -l_orig(d_real, d_fake)
+
+
+@accepts_arrays
+def l_g_baseline(d_fake):
+    """The baseline generator's non-saturating objective, -mean log
+    D(fake), probabilities clamped as in l_orig: it pushes D(G(z)) toward 1.
+
+    One graph node with a hand-written vector-Jacobian product. Value and
+    gradient are the bits of the composed -(clamp, log, mean) chain, in
+    its order of operations; a probability outside the open clamp
+    interval gets gradient 0.
+    """
+    _check_probabilities(d_fake=d_fake)
+    lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
+    f = d_fake.value
+    cf = np.clip(f, lo, hi)
+    n = f.size
+
+    def vjp(g):
+        return (((-g) / n) / cf * ((f > lo) & (f < hi)),)
+
+    return node(-(np.log(cf).sum() / n), (d_fake,), vjp)
 
 
 def batch_stats(spec: KernelSpec | None, reps) -> tuple:

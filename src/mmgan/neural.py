@@ -15,8 +15,9 @@ no recipe.
 Some ops are single nodes with a hand-written vector-Jacobian product
 instead of a chain of small ops: a network layer (affine map plus
 activation) here, and elsewhere the mean Gram of two batches, the
-correlation penalty r_g and the classification loss l_orig. A layer, r_g
-and l_orig give the bits their formulas give in composed ops.
+correlation penalty r_g, the classification loss l_orig and the baseline
+generator's objective. A layer, r_g and the two losses give the bits
+their formulas give in composed ops.
 """
 
 from __future__ import annotations
@@ -398,10 +399,14 @@ class Layer:
         pre = xv @ w + self.bias.value
         out = value(pre)
 
+        # only operands that need a gradient get one: through a layer of
+        # constants, backward forms the input's alone
         def vjp(g):
             gp = act_vjp(g, pre, out)
             gx = gp @ w.T if x.requires_grad else None
-            return gx, xv.T @ gp, gp.sum(axis=0)
+            gw = xv.T @ gp if self.weight.requires_grad else None
+            gb = gp.sum(axis=0) if self.bias.requires_grad else None
+            return gx, gw, gb
 
         return node(out, (x, self.weight, self.bias), vjp)
 

@@ -5,7 +5,8 @@ Each step runs, in this exact order:
      loss only, in every mode), each building G's graph on its latent
      batch once and training D on that graph's value,
   2. one pass of the freshly updated discriminator over the last batches:
-     the real one as values, the fake one as a graph on G's node,
+     the real one as values, the fake one as a graph on G's node, with D's
+     parameters as constants, so that G's backward stops at the fakes,
   3. the tracker refresh (matching objective only): both batches'
      statistics are folded into the real/fake moving-average trackers, the
      fake ones read off the graph of step 2,
@@ -54,8 +55,8 @@ from mmgan.loss import (
     batch_stats,
     generator_terms,
     l_d_final,
+    l_g_baseline,
     rg_score,
-    PROB_CLAMP,
 )
 from mmgan.manifold import ManifoldTracker, estimate, tracker_update
 from mmgan.metrics import MetricsRow, manifold_gap, mode_coverage
@@ -144,8 +145,7 @@ def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: np.ndarray,
     the fake batch's rg_score in every mode.
     """
     if lc is None:
-        # non-saturating objective: push D(G(z)) toward 1
-        loss_node = -(out_fake.clamp(PROB_CLAMP, 1.0 - PROB_CLAMP).log().mean())
+        loss_node = l_g_baseline(out_fake)
         opt_g.step(gradients(loss_node, opt_g.params))
         # matching terms are reported for observability even though the
         # baseline never optimizes them
@@ -160,9 +160,10 @@ def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: np.ndarray,
     return terms.total.item(), terms.manifold.item(), terms.radius.item(), rg
 
 
-def _copy_network(net: Network) -> Network:
-    return Network([Layer(parameter(layer.weight.value.copy()),
-                          parameter(layer.bias.value.copy()), layer.activation)
+def _rebuild(net: Network, leaf) -> Network:
+    """net's layers over the leaves leaf(array) makes of its parameters."""
+    return Network([Layer(leaf(layer.weight.value), leaf(layer.bias.value),
+                          layer.activation)
                     for layer in net.layers], net.feature_tap_index)
 
 
@@ -197,10 +198,14 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
                            rng=np.random.default_rng(ss_d))
     opt_g = SGD(g_net.parameters(), cfg.lr_g, cfg.momentum_g)
     opt_d = SGD(d_net.parameters(), cfg.lr_d, cfg.momentum_d)
+    # D as constants over its own arrays, which SGD updates in place: the
+    # pass g_step differentiates reads D's current weights, and G's
+    # backward stops at the fakes instead of forming D's weight gradients
+    d_const = _rebuild(d_net, constant)
     lc = None if cfg.baseline else cfg.loss_config()
     real_tracker = ManifoldTracker(cfg.delta)
     fake_tracker = ManifoldTracker(cfg.delta)
-    g_avg = _copy_network(g_net)
+    g_avg = _rebuild(g_net, lambda value: parameter(value.copy()))
 
     history: list = []
     for step in range(1, cfg.steps + 1):
@@ -211,7 +216,7 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
                 loss_d, fake = d_step(g_net, d_net, opt_d, x, z)
             # the updated discriminator's one pass over each batch
             feat_real = d_net.forward_values(x)[1]
-            out_fake, feat_fake = d_net.forward(fake)
+            out_fake, feat_fake = d_const.forward(fake)
             stats = None if lc is None else update_trackers(
                 lc.kernel, feat_real, feat_fake, real_tracker, fake_tracker)
             loss_g, m_term, r_term, rg_val = g_step(

@@ -118,3 +118,9 @@ def composed_l_orig(d_real, d_fake, clamp: float):
     lo, hi = clamp, 1.0 - clamp
     return (d_real.clamp(lo, hi).log().mean()
             + (1.0 - d_fake.clamp(lo, hi)).log().mean())
+
+
+def composed_l_g_baseline(d_fake, clamp: float):
+    """loss.l_g_baseline in primitive Tensor ops: -mean log D(fake),
+    probabilities clamped to [clamp, 1 - clamp]."""
+    return -(d_fake.clamp(clamp, 1.0 - clamp).log().mean())

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import mmgan.trainer as trainer_mod
-from mmgan.cli import main
+from mmgan.cli import _write_samples, main
 from mmgan.config import (KERNEL_CHOICES, RunConfig, manifest_text,
                           parse_config_text)
 from mmgan.neural import ACTIVATIONS
@@ -93,6 +93,55 @@ def test_samples_csv_is_rfc4180(tmp_path):
     assert rows[0] == ["x0", "x1"]
     assert len(rows) == 1 + 64
     float(rows[1][0])
+
+
+@pytest.mark.parametrize("dataset", ["idx", "ring8"])
+def test_samples_csv_cells_are_repr_of_the_eval_batch(tmp_path, dataset):
+    # every cell is repr of its value in draw_eval_batch's fake matrix, at
+    # an idx-like width of 10 columns and at ring8's 2
+    flags = ["--dataset", dataset]
+    if dataset == "idx":
+        _write_idx(tmp_path / "tiny.idx", rows=2, cols=5)
+        flags += ["--idx-images", str(tmp_path / "tiny.idx")]
+    out = tmp_path / "run"
+    assert main(["train", *flags, "--steps", "6", "--batch", "8",
+                 "--eval-interval", "3", "--eval-samples", "40", "--seed", "2",
+                 "--out", str(out)]) == 0
+    cfg = parse_config_text((out / "manifest.txt").read_text())
+    fake, _ = draw_eval_batch(load_network(str(out / "generator.bin")),
+                              cfg.load_dataset(), 40, seed=2, step=6)
+    width = 10 if dataset == "idx" else 2
+    assert fake.shape == (40, width)
+    lines = (out / "samples_6.csv").read_text(encoding="utf-8").split("\n")
+    assert lines[0] == ",".join(f"x{i}" for i in range(width))
+    assert lines[-1] == ""  # every line ends in \n
+    assert [line.split(",") for line in lines[1:-1]] == [
+        [repr(v) for v in row] for row in fake.tolist()]
+
+
+def test_samples_csv_writes_every_float_by_repr(tmp_path):
+    fake = np.array([[-0.0, 5e-324, 1e300, 0.1 + 0.2],
+                     [np.nan, np.inf, -np.inf, -1.5]])
+    _write_samples(str(tmp_path), 7, fake, artifacts := [])
+    assert artifacts == ["samples_7.csv"]
+    assert (tmp_path / "samples_7.csv").read_bytes() == (
+        b"x0,x1,x2,x3\n"
+        b"-0.0,5e-324,1e+300,0.30000000000000004\n"
+        b"nan,inf,-inf,-1.5\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--latent-dim", "200000000"], ["--batch", "100000"],
+    ["--g-hidden", "64,100000"], ["--d-hidden", "100000,16"],
+    ["--g-hidden", ",".join(["4"] * 9)],
+], ids=["latent_dim", "batch", "g_width", "d_width", "g_depth"])
+def test_train_rejects_oversized_networks(tmp_path, flags):
+    out = tmp_path / "run"
+    code, stdout, err = _main_quietly(["train", *flags, "--steps", "1",
+                                       "--out", str(out)])
+    assert code == 1 and stdout == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_flags_override_config_file(tmp_path):
@@ -319,10 +368,10 @@ def test_settings_of_eval_and_gradcheck_are_range_checked(finished_run, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def _write_idx(path):
+def _write_idx(path, rows=7, cols=7):
     rng = np.random.default_rng(0)
-    imgs = rng.integers(0, 256, size=(80, 7, 7), dtype=np.uint8)
-    path.write_bytes(struct.pack(">IIII", 2051, 80, 7, 7) + imgs.tobytes())
+    imgs = rng.integers(0, 256, size=(80, rows, cols), dtype=np.uint8)
+    path.write_bytes(struct.pack(">IIII", 2051, 80, rows, cols) + imgs.tobytes())
 
 
 def test_idx_training_smoke(tmp_path):
@@ -448,9 +497,9 @@ _FUZZ_KEYS = {
     "baseline": (st.sampled_from(["true", "false"]),
                  st.sampled_from(["yes", "1", ""])),
     "steps": (st.integers(1, 3), st.integers(-3, 0)),
-    "batch": (st.integers(2, 8), st.integers(-3, 1)),
+    "batch": (st.integers(2, 8), st.integers(-3, 1) | st.just(10**6)),
     "seed": (st.integers(0, 3), st.integers(-3, -1)),
-    "latent_dim": (st.integers(1, 3), st.integers(-3, 0)),
+    "latent_dim": (st.integers(1, 3), st.integers(-3, 0) | st.just(2 * 10**8)),
     "d_steps_per_g": (st.integers(1, 2), st.integers(-3, 0)),
     "eval_interval": (st.integers(1, 3), st.integers(-3, 0)),
     "eval_samples": (st.integers(2, 16), st.integers(-3, 1) | st.just(10**14)),
@@ -462,8 +511,8 @@ _FUZZ_KEYS = {
     "lr_d": (st.floats(1e-3, 0.1), _BAD_RATE),
     "momentum_g": (st.floats(0, 0.95), _BAD_MOMENTUM),
     "momentum_d": (st.floats(0, 0.95), _BAD_MOMENTUM),
-    "g_hidden": (_widths(1, 0), st.just("0")),
-    "d_hidden": (_widths(2, 1), st.sampled_from(["", "4,1"])),
+    "g_hidden": (_widths(1, 0), st.sampled_from(["0", "4,100000", "4," * 9])),
+    "d_hidden": (_widths(2, 1), st.sampled_from(["", "4,1", "100000,4"])),
     "g_out_activation": (st.sampled_from(ACTIVATIONS), st.just("foo")),
 }
 # values no key's annotation reads, or that argparse reads as a missing value

@@ -1,7 +1,7 @@
 import pytest
 
-from mmgan.config import (RunConfig, manifest_text, parse_config_text,
-                          resolve_out_dir)
+from mmgan.config import (MAX_BATCH, MAX_HIDDEN_LAYERS, MAX_WIDTH, RunConfig,
+                          manifest_text, parse_config_text, resolve_out_dir)
 from mmgan.kernel import KernelSpec
 
 
@@ -65,6 +65,21 @@ def test_validation():
         RunConfig(kernel="cubic")
     with pytest.raises(ValueError, match="idx_images"):
         RunConfig(dataset="idx")
+
+
+@pytest.mark.parametrize("key, at_bound, over", [
+    ("batch", MAX_BATCH, MAX_BATCH + 1),
+    ("latent_dim", MAX_WIDTH, 200_000_000),
+    ("g_hidden", (MAX_WIDTH, 1), (64, MAX_WIDTH + 1)),
+    ("d_hidden", (8, MAX_WIDTH), (MAX_WIDTH + 1, 8)),
+    ("g_hidden", (4,) * MAX_HIDDEN_LAYERS, (4,) * (MAX_HIDDEN_LAYERS + 1)),
+    ("d_hidden", (4,) * MAX_HIDDEN_LAYERS, (4,) * (MAX_HIDDEN_LAYERS + 1)),
+], ids=["batch", "latent_dim", "g_width", "d_width", "g_depth", "d_depth"])
+def test_network_sizes_are_bounded(key, at_bound, over):
+    # a config is checked, not built: these sizes are never allocated
+    assert getattr(RunConfig(**{key: at_bound}), key) == at_bound
+    with pytest.raises(ValueError, match=f"^({key}|hidden layer widths) must"):
+        RunConfig(**{key: over})
 
 
 def test_loss_config_mapping():

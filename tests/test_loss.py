@@ -12,11 +12,13 @@ from mmgan.loss import (
     batch_stats,
     generator_terms,
     l_d_final,
+    l_g_baseline,
     l_orig,
 )
 from mmgan.neural import constant, gradients, parameter
 from mmgan.regularizer import r_g
-from oracles import composed_l_orig, fd_gradients, max_rel_err, rel_err
+from oracles import (composed_l_g_baseline, composed_l_orig, fd_gradients,
+                     max_rel_err, rel_err)
 
 
 def test_l_orig_hand_computed():
@@ -83,6 +85,40 @@ def test_fused_l_orig_gradient_is_zero_outside_the_open_clamp():
     g = gradients(l_orig(params["r"], params["f"]), params)
     assert np.array_equal(g["r"], np.zeros_like(edges))
     assert np.array_equal(g["f"], np.zeros_like(edges))
+
+
+def test_l_g_baseline_hand_computed_and_validated():
+    got = l_g_baseline(np.array([[0.9], [0.5]]))
+    assert got == pytest.approx(-(np.log(0.9) + np.log(0.5)) / 2, rel=1e-12)
+    assert l_g_baseline(np.array([0.0])) == pytest.approx(-np.log(PROB_CLAMP))
+    with pytest.raises(ValueError, match="probabilities"):
+        l_g_baseline(np.array([1.5]))
+    with pytest.raises(ValueError, match="empty"):
+        l_g_baseline(np.array([]))
+
+
+@settings(deadline=None, max_examples=200)
+@given(PROBS)
+def test_fused_l_g_baseline_is_the_composed_chain_bit_for_bit(d_fake):
+    # one node in place of clamp, log, sum, divide and negate: their value
+    # and their gradient, to the last bit
+    fused, composed = parameter(d_fake), parameter(d_fake)
+    node = l_g_baseline(fused)
+    chain = composed_l_g_baseline(composed, PROB_CLAMP)
+    assert np.array_equal(node.value, chain.value)
+    g_fused = gradients(node, {"f": fused})["f"]
+    g_chain = gradients(chain, {"f": composed})["f"]
+    assert g_fused.shape == d_fake.shape
+    assert np.array_equal(g_fused, g_chain)
+    # numpy arrays in, a float out, of the same bits
+    assert l_g_baseline(d_fake) == node.item()
+
+
+def test_fused_l_g_baseline_gradient_is_zero_outside_the_open_clamp():
+    edges = np.array([[0.0], [PROB_CLAMP], [1.0 - PROB_CLAMP], [1.0]])
+    f = parameter(edges)
+    assert np.array_equal(gradients(l_g_baseline(f), {"f": f})["f"],
+                          np.zeros_like(edges))
 
 
 def test_bce_is_negated_l_orig():

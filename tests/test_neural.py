@@ -296,6 +296,26 @@ def test_forward_values_matches_graph_forward():
 
 
 @pytest.mark.parametrize("act", ACTIVATIONS)
+def test_layer_of_constants_passes_the_input_gradient_alone(act):
+    # over the same arrays, a layer whose weight and bias are constants
+    # gives the same output and the same input gradient, and forms no
+    # gradient for itself
+    rng = np.random.default_rng(4)
+    w, b = rng.normal(size=(3, 4)), rng.normal(size=4)
+    learned = Layer(parameter(w), parameter(b), act)
+    fixed = Layer(constant(w), constant(b), act)
+    assert fixed.weight.value is w and fixed.bias.value is b
+    x = parameter(rng.normal(size=(5, 3)))
+    y_learned, y_fixed = learned(x), fixed(x)
+    assert np.array_equal(y_learned.value, y_fixed.value)
+    g = rng.normal(size=(5, 4))
+    gx, gw, gb = y_fixed.vjp(g)
+    assert gw is None and gb is None
+    assert np.array_equal(gx, y_learned.vjp(g)[0])
+    assert len(topo_order((y_fixed * y_fixed).sum())) == 4
+
+
+@pytest.mark.parametrize("act", ACTIVATIONS)
 def test_network_gradient_fd(act):
     # every layer is one fused node, so this checks its VJP per activation
     rng = np.random.default_rng(4)

@@ -41,6 +41,8 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
         json.dumps(end_to_end)])
     traced = {name: metric(float(i), "count")
               for i, name in enumerate(bench.COUNTERS)}
+    traced.update({name: metric(0.5 + i, "ms")
+                   for i, name in enumerate(bench.PHASES)})
     traced["neural.backward.ms"] = metric(0.49, "ms")
     counters_stdout = "\n".join([
         f"machine: {json.dumps(MACHINE)}",
@@ -48,14 +50,20 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
                     "metrics": traced})])
     record = bench.assemble("pr8", {"commit": None, "parent": "abc1234"},
                             e2e_stdout, counters_stdout)
-    # the schema of the committed BENCH files
+    # the schema of the committed BENCH files, which gained the phases
     assert list(record) == ["label", "commit", "parent", "commands", "machine",
-                            "end_to_end", "ring8_matcher_counters"]
+                            "end_to_end", "ring8_matcher_counters",
+                            "ring8_matcher_phases"]
     assert record["label"] == "pr8" and record["parent"] == "abc1234"
     assert record["machine"] == MACHINE
     assert record["end_to_end"] == end_to_end
     assert record["ring8_matcher_counters"] == {
         name: metric(float(i), "count") for i, name in enumerate(bench.COUNTERS)}
+    assert record["ring8_matcher_phases"] == {
+        "trainer.d_step.ms": metric(0.5, "ms"),
+        "trainer.update_trackers.ms": metric(1.5, "ms"),
+        "trainer.g_step.ms": metric(2.5, "ms"),
+        "trainer.eval_callback.ms": metric(3.5, "ms")}
     committed = json.loads((SCRIPTS.parent / "BENCH_pr6.json").read_text())
     assert record["commands"] == committed["commands"]
     assert set(record["ring8_matcher_counters"]) == set(

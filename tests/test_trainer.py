@@ -204,17 +204,18 @@ def test_numerical_error_carries_step_index(monkeypatch):
 
 @pytest.mark.parametrize("keys, per_step, backward_nodes, tensors", [
     (dict(kernel="rbf", beta=1.0),
-     dict(forward=5, mean_gram=3, kernel_radius=2, r_g=2), [10, 29], 46),
+     dict(forward=5, mean_gram=3, kernel_radius=2, r_g=2), [10, 27], 46),
     (dict(kernel="rbf", beta=0.0),
-     dict(forward=5, mean_gram=3, kernel_radius=2, r_g=1), [10, 23], 40),
+     dict(forward=5, mean_gram=3, kernel_radius=2, r_g=1), [10, 21], 40),
     (dict(baseline=True),
-     dict(forward=5, mean_gram=0, kernel_radius=0, r_g=1), [10, 17], 46),
+     dict(forward=5, mean_gram=0, kernel_radius=0, r_g=1), [10, 9], 42),
 ], ids=["rbf", "rbf-beta0", "baseline"])
 def test_work_per_step(monkeypatch, keys, per_step, backward_nodes, tensors):
     # each quantity is computed once per step: one G forward, one D pass
     # over each batch before and after D's update, each batch's mean Gram
     # shared by its radius and the MMD^2, and the fake rg_score shared by
-    # the penalty and the report; r_g and l_orig are one node each
+    # the penalty and the report; r_g, l_orig and l_g_baseline are one
+    # node each, and G's backward holds no D parameter
     counts = dict.fromkeys(per_step, 0)
 
     def count(owner, name, key):
@@ -293,6 +294,46 @@ def test_shared_values_equal_a_fresh_value_pass(monkeypatch):
     assert np.array_equal(mini_fake.value, kernel_radius(spec, feat_fake))
     assert np.array_equal(mini_real, kernel_radius(spec, d.forward_values(x)[1]))
     assert np.array_equal(res.history[-1].r_g, rg_score(feat_fake))
+
+
+@pytest.mark.parametrize("keys", [dict(kernel="rbf"), dict(baseline=True)],
+                         ids=["rbf", "baseline"])
+def test_g_backward_stops_at_the_fakes(monkeypatch, keys):
+    # G's backward walks no D parameter, and the pass it differentiates
+    # reads D's current weights: at every step it gives, bit for bit, what
+    # a fresh pass of the updated D over the same fakes gives
+    seen, tapes, same, g_tapes = {}, [], [], []
+    orig_topo, orig_d, orig_g = neural_mod.topo_order, d_step, g_step
+
+    def spy_topo(root):
+        order = orig_topo(root)
+        tapes.append({id(t) for t in order})
+        return order
+
+    def spy_d(g_net, d_net, *a):
+        loss_d, fake = orig_d(g_net, d_net, *a)
+        seen.update(g=g_net, d=d_net, fake=fake.value)
+        return loss_d, fake
+
+    def spy_g(lc, opt_g, feat_real, out_fake, feat_fake, stats):
+        out, feat = seen["d"].forward_values(seen["fake"])
+        same.append(np.array_equal(out, out_fake.value)
+                    and np.array_equal(feat, feat_fake.value))
+        result = orig_g(lc, opt_g, feat_real, out_fake, feat_fake, stats)
+        g_tapes.append(tapes[-1])
+        return result
+
+    monkeypatch.setattr(neural_mod, "topo_order", spy_topo)
+    monkeypatch.setattr(trainer_mod, "d_step", spy_d)
+    monkeypatch.setattr(trainer_mod, "g_step", spy_g)
+    steps = 4
+    train(tiny_cfg(steps=steps, **keys), make_dataset("ring8"))
+    assert same == [True] * steps
+    d_params = {id(p) for p in seen["d"].parameters().values()}
+    g_params = {id(p) for p in seen["g"].parameters().values()}
+    assert len(g_tapes) == steps
+    for tape in g_tapes:
+        assert g_params <= tape and not d_params & tape
 
 
 def test_on_eval_fires_at_interval_and_final_step():
