@@ -7,15 +7,22 @@ Run from the repository root. Runs the benchmark twice, at seed 1 and 30
 seconds per workload as every BENCH file has: every workload untraced,
 for the end-to-end metrics, then ring8_matcher traced, for its
 deterministic work counters and its median ms per call of each phase.
-The file records the machine, the end-to-end result and the ring8
-counters and phases, with the commands that produced them and the commit
-they were measured on (`commit` is null, and `parent` names HEAD, when
-the working tree has uncommitted changes).
+Then it times each arm of the ring8 protocol (`scripts/run_ring8.py`'s
+ARMS) once, each in a fresh process with BLAS threads capped at the
+usable cores as perfbench caps them: 1000 steps of `mmgan train` at
+batch 64, seed 1, one evaluation at the last step, called in process,
+over the wall time of that call.
+The file records the machine, the end-to-end result, the ring8 counters
+and phases and the arms' steps/s, with the commands that produced them and
+the commit they were measured on (`commit` is null, and `parent` names
+HEAD, when the working tree has uncommitted changes).
 """
 import argparse
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 COMMANDS = {
     "end_to_end": "python3 perfbench/run.py --workload all --seed 1 "
@@ -43,6 +50,24 @@ PHASES = (
 )
 
 
+ARM_STEPS = 1000
+ARM_ARGV = ["train", "--dataset", "ring8", "--batch", "64", "--steps",
+            str(ARM_STEPS), "--eval-interval", str(ARM_STEPS), "--seed", "1"]
+# one arm's run: argv[1:] is the mmgan argv; prints the call's wall time
+ARM_RUN = """\
+import sys, tempfile, time
+from mmgan.cli import main
+with tempfile.TemporaryDirectory() as out:
+    start = time.perf_counter()
+    code = main([*sys.argv[1:], "--out", out])
+    wall = time.perf_counter() - start
+if code:
+    raise SystemExit(code)
+print(wall)
+"""
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def parse_run(stdout: str) -> tuple:
     """(machine record, result) of one perfbench run: the first
     `machine:` line (prefixed by the workload under --workload all) and
@@ -53,10 +78,16 @@ def parse_run(stdout: str) -> tuple:
     return machine, json.loads(lines[-1])
 
 
+def arm_rate(stdout: str) -> dict:
+    """steps/s of one ARM_RUN from its stdout."""
+    return {"value": ARM_STEPS / float(stdout.split()[-1]), "unit": "steps/s"}
+
+
 def assemble(label: str, revisions: dict, end_to_end_stdout: str,
-             counters_stdout: str) -> dict:
-    """The BENCH record from the stdout of the two COMMANDS. revisions
-    holds the `commit` and `parent` entries."""
+             counters_stdout: str, arm_stdouts: dict) -> dict:
+    """The BENCH record from the stdout of the two COMMANDS and of each
+    arm's ARM_RUN, by arm name. revisions holds the `commit` and `parent`
+    entries."""
     machine, end_to_end = parse_run(end_to_end_stdout)
     _, traced = parse_run(counters_stdout)
     return {
@@ -67,6 +98,7 @@ def assemble(label: str, revisions: dict, end_to_end_stdout: str,
         "end_to_end": end_to_end,
         "ring8_matcher_counters": {k: traced["metrics"][k] for k in COUNTERS},
         "ring8_matcher_phases": {k: traced["metrics"][k] for k in PHASES},
+        "ring8_arms": {arm: arm_rate(out) for arm, out in arm_stdouts.items()},
     }
 
 
@@ -82,6 +114,21 @@ def revisions() -> dict:
     return {"commit": head, "parent": _git("rev-parse", "--short", "HEAD~1")}
 
 
+def run_arm(flags: list) -> str:
+    """The stdout of ARM_RUN on one arm's flags, in a fresh process."""
+    cap = str(len(os.sched_getaffinity(0)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=cap, OMP_NUM_THREADS=cap,
+               MKL_NUM_THREADS=cap,
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", ARM_RUN, *ARM_ARGV, *flags],
+                          env=env, capture_output=True, text=True, check=False)
+    sys.stderr.write(proc.stderr)
+    if proc.returncode != 0:
+        sys.exit(f"ring8 arm {' '.join(flags)} exited {proc.returncode}")
+    return proc.stdout
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("label", help="names the output file BENCH_<label>.json")
@@ -95,8 +142,11 @@ def main() -> None:
         if proc.returncode != 0:
             sys.exit(f"{command} exited {proc.returncode}")
         stdouts[key] = proc.stdout
+    sys.path.insert(0, str(SRC))  # run_ring8 imports mmgan
+    from run_ring8 import ARMS
+    arm_stdouts = {arm: run_arm(flags) for arm, flags in ARMS.items()}
     record = assemble(label, revisions(), stdouts["end_to_end"],
-                      stdouts["counters"])
+                      stdouts["counters"], arm_stdouts)
     path = f"BENCH_{label}.json"
     with open(path, "w", encoding="utf-8") as f:
         json.dump(record, f, indent=1)

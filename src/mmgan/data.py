@@ -97,7 +97,7 @@ def sample_batch(handle: DatasetHandle, n: int, rng: np.random.Generator) -> np.
         return pts + rng.normal(0.0, handle.mode_sigma, size=(n, 2))
     if handle.images is not None:
         rows = rng.integers(0, len(handle.images), size=n)
-        return handle.images[rows].copy()
+        return handle.images[rows]  # fancy indexing returns a fresh array
     raise ValueError(f"cannot sample from dataset kind {handle.kind!r}")
 
 

@@ -363,6 +363,11 @@ def gradients(loss: Tensor, params: dict) -> dict:
 # -- networks ------------------------------------------------------------
 
 
+def _qualified(net_name: str, key: str) -> str:
+    """key ("layer1.w") prefixed with its network's name, if it has one."""
+    return f"{net_name}.{key}" if net_name else key
+
+
 def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarray:
     s = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-s, s, size=(fan_in, fan_out))
@@ -417,10 +422,12 @@ class Network:
     `feature_tap_index` names the layer whose post-activation output doubles
     as the per-sample vector representation returned by forward. For a
     discriminator this is typically the last hidden layer; a generator taps
-    its own output layer.
+    its own output layer. `name` ("g", "d") prefixes the layer named in a
+    numerical error.
     """
 
-    def __init__(self, layers: list, feature_tap_index: int | None = None):
+    def __init__(self, layers: list, feature_tap_index: int | None = None,
+                 name: str = ""):
         if not layers:
             raise ValueError("network needs at least one layer")
         for prev, nxt in zip(layers, layers[1:]):
@@ -433,6 +440,7 @@ class Network:
             raise ValueError(f"feature_tap_index {feature_tap_index} out of range")
         self.layers = layers
         self.feature_tap_index = feature_tap_index
+        self.name = name
         self._params = {}
         for i, layer in enumerate(layers):
             self._params[f"layer{i}.w"] = layer.weight
@@ -442,7 +450,8 @@ class Network:
     def create(cls, sizes, hidden_activation: str = "relu",
                out_activation: str = "identity",
                feature_tap_index: int | None = None,
-               rng: np.random.Generator | None = None) -> "Network":
+               rng: np.random.Generator | None = None,
+               name: str = "") -> "Network":
         """Build from a size chain like (2, 64, 64, 1). Glorot-uniform
         weights, zero biases."""
         if len(sizes) < 2:
@@ -455,7 +464,7 @@ class Network:
             act = out_activation if i == last else hidden_activation
             layers.append(Layer(parameter(glorot_uniform(fi, fo, rng)),
                                 parameter(np.zeros(fo)), act))
-        return cls(layers, feature_tap_index)
+        return cls(layers, feature_tap_index, name)
 
     @property
     def in_dim(self) -> int:
@@ -468,8 +477,8 @@ class Network:
         """Run a (n, in_dim) batch through the graph.
 
         Returns (output, features), both Tensors; `features` is the tapped
-        layer's post-activation output. Raises NumericalError if either
-        comes out non-finite.
+        layer's post-activation output. Raises NumericalError naming the
+        first layer whose output is non-finite if either comes out so.
         """
         x = batch if isinstance(batch, Tensor) else constant(batch)
         if x.value.ndim != 2 or x.value.shape[1] != self.in_dim:
@@ -481,8 +490,20 @@ class Network:
             if i == self.feature_tap_index:
                 features = x
         if not np.isfinite(x.value).all() or not np.isfinite(features.value).all():
-            raise NumericalError("non-finite activation in forward pass")
+            raise NumericalError(
+                f"non-finite activation in {self._first_nonfinite(batch)}")
         return x, features
+
+    def _first_nonfinite(self, batch) -> str:
+        """The qualified name of the first layer whose output on batch is
+        non-finite; a value pass, run only once forward has failed."""
+        v = batch.value if isinstance(batch, Tensor) else batch
+        with no_grad():
+            for i, layer in enumerate(self.layers):
+                v = layer(constant(v)).value
+                if not np.isfinite(v).all():
+                    break
+        return _qualified(self.name, f"layer{i}")
 
     def forward_values(self, batch) -> tuple:
         """forward under no_grad, for statistics and evaluation: returns
@@ -493,9 +514,11 @@ class Network:
 
 
 class SGD:
-    """SGD with optional classical momentum. Stateless when momentum is 0."""
+    """SGD with optional classical momentum. Stateless when momentum is 0.
+    `name` is the owning network's, for error messages."""
 
-    def __init__(self, params: dict, lr: float, momentum: float = 0.0):
+    def __init__(self, params: dict, lr: float, momentum: float = 0.0,
+                 name: str = ""):
         if lr <= 0:
             raise ValueError("lr must be positive")
         if not 0.0 <= momentum < 1.0:
@@ -503,6 +526,7 @@ class SGD:
         self.params = params
         self.lr = lr
         self.momentum = momentum
+        self.name = name
         self._vel = {n: np.zeros_like(p.value) for n, p in params.items()} \
             if momentum > 0.0 else None
 
@@ -512,7 +536,8 @@ class SGD:
                 raise ValueError(f"gradient for unknown parameter {name!r}")
             g = np.asarray(g)
             if not np.isfinite(g).all():
-                raise NumericalError(f"non-finite gradient for parameter {name!r}")
+                raise NumericalError(
+                    f"non-finite gradient for {_qualified(self.name, name)}")
             if self._vel is not None:
                 v = self._vel[name]
                 v *= self.momentum

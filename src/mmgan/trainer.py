@@ -4,15 +4,26 @@ Each step runs, in this exact order:
   1. one or more discriminator updates on fresh batches (classification
      loss only, in every mode), each building G's graph on its latent
      batch once and training D on that graph's value,
-  2. one pass of the freshly updated discriminator over the last batches:
-     the real one as values, the fake one as a graph on G's node, with D's
-     parameters as constants, so that G's backward stops at the fakes,
+  2. one pass of the freshly updated discriminator over the last fake
+     batch, as a graph on G's node with D's parameters as constants, so
+     that G's backward stops at the fakes, and one over the last real
+     batch, as values: on every step in the matcher, on report steps only
+     in the baseline,
   3. the tracker refresh (matching objective only): both batches'
      statistics are folded into the real/fake moving-average trackers, the
      fake ones read off the graph of step 2,
   4. one generator update through the graph of step 2, using the
      post-update real statistics and a differentiable blend of the
-     pre-update fake tracker with the current mini-batch statistic.
+     pre-update fake tracker with the current mini-batch statistic,
+  5. on report steps only (every eval_interval steps and the last), the
+     step's LossReport: the matcher reads the terms step 4 descended;
+     the baseline, which never optimizes them, measures them from both
+     batches' features of step 2 (step 4 leaves D unchanged).
+
+Every step checks loss_d and loss_g for finiteness, and a report step
+every field of its report; the matcher's terms are non-negative, so a
+finite total implies finite terms. Reporting does not steer training: the
+weights are the same bits whatever eval_interval is.
 
 Each value is computed once per step and shared: G's forward, D's pass
 over the fakes, each batch's mean Gram (its radius and the MMD^2 both read
@@ -42,7 +53,8 @@ sequencing is observable (and patchable) from outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +103,8 @@ G_AVERAGE_DECAY = 0.998
 
 @dataclass
 class TrainResult:
-    """generator is the parameter average (see the module docstring)."""
+    """generator is the parameter average (see the module docstring), and
+    history holds the reports of the report steps, one per eval."""
 
     generator: Network
     discriminator: Network
@@ -133,38 +146,57 @@ def update_trackers(spec: KernelSpec | None, feat_real: np.ndarray,
     return real, (*tracker_update(fake_tracker, c, r), gram)
 
 
-def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: np.ndarray,
+def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: np.ndarray | None,
            out_fake: Tensor, feat_fake: Tensor, stats: tuple | None) -> tuple:
     """One generator update through the (fixed) discriminator's graph on
     this step's fake node (out_fake, feat_fake), on the matching objective
     lc with the blended (real, fake) statistics triples stats of
     update_trackers, or with lc and stats None on the adversarial objective
-    alone (the baseline).
+    alone (the baseline, which does not read feat_real).
 
-    Returns (loss_g, manifold_term, radius_term, r_g) as floats, r_g being
-    the fake batch's rg_score in every mode.
+    Returns (loss_g, terms): the objective's value as a float, and the
+    GeneratorTerms it was assembled from, None in the baseline, for the
+    report to read.
     """
     if lc is None:
         loss_node = l_g_baseline(out_fake)
         opt_g.step(gradients(loss_node, opt_g.params))
-        # matching terms are reported for observability even though the
-        # baseline never optimizes them
-        fv = feat_fake.value
-        cg, rgap = manifold_gap(estimate(feat_real), estimate(fv))
-        return loss_node.item(), cg, rgap, rg_score(fv)
+        return loss_node.item(), None
 
     terms = generator_terms(lc, feat_real, feat_fake, *stats)
     opt_g.step(gradients(terms.total, opt_g.params))
-    rg = (rg_score(feat_fake.value) if terms.rg_fake is None
-          else terms.rg_fake.item())
-    return terms.total.item(), terms.manifold.item(), terms.radius.item(), rg
+    return terms.total.item(), terms
+
+
+def _require_finite(**values) -> None:
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise NumericalError(f"non-finite {name}")
+
+
+def _report(step: int, loss_d: float, loss_g: float, terms,
+            feat_real: np.ndarray, feat_fake: Tensor) -> LossReport:
+    """The step's LossReport from what g_step returned, every field checked
+    finite. The baseline's matching terms (terms None) are the plain
+    sphere gaps of the two batches' features, measured for observability."""
+    fv = feat_fake.value
+    if terms is None:
+        cg, rgap = manifold_gap(estimate(feat_real), estimate(fv))
+        rg = rg_score(fv)
+    else:
+        cg, rgap = terms.manifold.item(), terms.radius.item()
+        rg = rg_score(fv) if terms.rg_fake is None else terms.rg_fake.item()
+    report = LossReport(step=step, loss_g=loss_g, loss_d=loss_d,
+                        manifold_term=cg, radius_term=rgap, r_g=rg)
+    _require_finite(**vars(report))
+    return report
 
 
 def _rebuild(net: Network, leaf) -> Network:
     """net's layers over the leaves leaf(array) makes of its parameters."""
     return Network([Layer(leaf(layer.weight.value), leaf(layer.bias.value),
                           layer.activation)
-                    for layer in net.layers], net.feature_tap_index)
+                    for layer in net.layers], net.feature_tap_index, net.name)
 
 
 def _fold_average(avg: Network, net: Network, step: int) -> None:
@@ -176,8 +208,9 @@ def _fold_average(avg: Network, net: Network, step: int) -> None:
 
 
 def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
-    """Run the full loop. on_eval(step, generator, report) fires every
-    eval_interval steps and on the final step, with the averaged generator.
+    """Run the full loop. on_eval(step, generator, report) fires on each
+    report step (every eval_interval steps and the final step), with the
+    averaged generator; the result's history holds those steps' reports.
 
     Raises NumericalError tagged with the step index if any loss term,
     activation, or gradient goes non-finite, and ValueError tagged so if
@@ -192,12 +225,12 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
                            hidden_activation="relu",
                            out_activation=cfg.g_out_activation,
                            feature_tap_index=len(cfg.g_hidden),
-                           rng=np.random.default_rng(ss_g))
+                           rng=np.random.default_rng(ss_g), name="g")
     d_net = Network.create((data.dim, *cfg.d_hidden, 1),
                            hidden_activation="relu", out_activation="sigmoid",
-                           rng=np.random.default_rng(ss_d))
-    opt_g = SGD(g_net.parameters(), cfg.lr_g, cfg.momentum_g)
-    opt_d = SGD(d_net.parameters(), cfg.lr_d, cfg.momentum_d)
+                           rng=np.random.default_rng(ss_d), name="d")
+    opt_g = SGD(g_net.parameters(), cfg.lr_g, cfg.momentum_g, g_net.name)
+    opt_d = SGD(d_net.parameters(), cfg.lr_d, cfg.momentum_d, d_net.name)
     # D as constants over its own arrays, which SGD updates in place: the
     # pass g_step differentiates reads D's current weights, and G's
     # backward stops at the fakes instead of forming D's weight gradients
@@ -209,34 +242,34 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
 
     history: list = []
     for step in range(1, cfg.steps + 1):
+        reporting = step % cfg.eval_interval == 0 or step == cfg.steps
         try:
             for _ in range(cfg.d_steps_per_g):
                 x = sample_batch(data, cfg.batch, rng_data)
                 z = rng_latent.standard_normal((cfg.batch, cfg.latent_dim))
                 loss_d, fake = d_step(g_net, d_net, opt_d, x, z)
-            # the updated discriminator's one pass over each batch
-            feat_real = d_net.forward_values(x)[1]
+            # the updated discriminator's one pass over each batch it reads
+            feat_real = (d_net.forward_values(x)[1]
+                         if lc is not None or reporting else None)
             out_fake, feat_fake = d_const.forward(fake)
             stats = None if lc is None else update_trackers(
                 lc.kernel, feat_real, feat_fake, real_tracker, fake_tracker)
-            loss_g, m_term, r_term, rg_val = g_step(
-                lc, opt_g, feat_real, out_fake, feat_fake, stats)
+            loss_g, terms = g_step(lc, opt_g, feat_real, out_fake, feat_fake,
+                                   stats)
             _fold_average(g_avg, g_net, step)
+            _require_finite(loss_g=loss_g, loss_d=loss_d)
+            if reporting:
+                report = _report(step, loss_d, loss_g, terms, feat_real,
+                                 feat_fake)
         except NumericalError as e:
             raise NumericalError(f"{e} (step {step})") from e
         except ValueError as e:  # the kernel trick's PSD guard
             raise ValueError(f"{e} (step {step})") from e
 
-        report = LossReport(step=step, loss_g=loss_g, loss_d=loss_d,
-                            manifold_term=m_term, radius_term=r_term,
-                            r_g=rg_val)
-        for f in fields(report):
-            if not np.isfinite(getattr(report, f.name)):
-                raise NumericalError(f"non-finite {f.name} (step {step})")
-        history.append(report)
-        if on_eval is not None and (step % cfg.eval_interval == 0
-                                    or step == cfg.steps):
-            on_eval(step, g_avg, report)
+        if reporting:
+            history.append(report)
+            if on_eval is not None:
+                on_eval(step, g_avg, report)
 
     return TrainResult(g_avg, d_net, history, real_tracker, fake_tracker)
 

@@ -265,6 +265,26 @@ def test_train_value_error_mid_run_exits_3(tmp_path, capsys, monkeypatch):
     assert "(step 2)" in err
 
 
+@pytest.mark.parametrize("net, layer", [("g", 0), ("d", 1)])
+def test_train_nan_weight_abort_names_network_layer_and_step(
+        tmp_path, capsys, monkeypatch, net, layer):
+    # a NaN put into one of G's or D's weights before step 2's D update
+    calls = []
+    orig = trainer_mod.d_step
+
+    def poison(g_net, d_net, *a):
+        calls.append(1)
+        if len(calls) == 2:
+            dict(g=g_net, d=d_net)[net].layers[layer].weight.value[0, 0] = np.nan
+        return orig(g_net, d_net, *a)
+
+    monkeypatch.setattr(trainer_mod, "d_step", poison)
+    assert main(["train", *FAST, "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"numerical abort: non-finite activation in "
+                   f"{net}.layer{layer} (step 2)\n")
+
+
 def test_train_unwritable_out_dir(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")

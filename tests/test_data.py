@@ -11,6 +11,7 @@ from mmgan.data import (
     RING8_SIGMA,
     RINGS2_CENTERS_PER_RING,
     RINGS2_SIGMA,
+    DatasetHandle,
     load_idx,
     make_dataset,
     sample_batch,
@@ -154,3 +155,18 @@ def test_sample_batch_from_idx(tmp_path):
     assert s.shape == (10, 4)
     for row in s:
         assert any(np.allclose(row, img) for img in h.images)
+
+
+def test_idx_batch_is_its_own_array(tmp_path):
+    # the drawn rows, in a fresh array: writing to a batch leaves the
+    # dataset as it was
+    rng = np.random.default_rng(3)
+    images = rng.uniform(-1.0, 1.0, size=(50, 6))
+    h = DatasetHandle("idx", 6, None, 0.0, images=images)
+    s = sample_batch(h, 64, np.random.default_rng(7))
+    rows = np.random.default_rng(7).integers(0, 50, size=64)
+    np.testing.assert_array_equal(s, images[rows])
+    assert not np.shares_memory(s, h.images)
+    before = h.images.copy()
+    s[:] = 0.0
+    np.testing.assert_array_equal(h.images, before)

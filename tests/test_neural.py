@@ -281,8 +281,17 @@ def test_network_rejects_noncomposing_dims():
 def test_network_nonfinite_forward_raises():
     net = Network.create((2, 4, 1), rng=np.random.default_rng(0))
     net.parameters()["layer0.w"].value[0, 0] = np.inf
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match=r"^non-finite activation in layer0$"):
         net.forward(np.ones((3, 2)))
+    # the first failing layer of a named network, in graph and value passes
+    for layer in range(3):
+        net = Network.create((2, 4, 4, 1), rng=np.random.default_rng(0),
+                             name="d")
+        net.parameters()[f"layer{layer}.b"].value[0] = np.nan
+        for run in (net.forward, net.forward_values):
+            with pytest.raises(NumericalError, match=(
+                    rf"^non-finite activation in d\.layer{layer}$")):
+                run(np.ones((3, 2)))
 
 
 def test_forward_values_matches_graph_forward():
@@ -367,8 +376,13 @@ def test_sgd_step_unknown_key_and_nonfinite():
     opt = SGD(net.parameters(), lr=0.1)
     with pytest.raises(ValueError, match="unknown parameter"):
         opt.step({"nope": np.zeros(3)})
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError,
+                       match=r"^non-finite gradient for layer0\.b$"):
         opt.step({"layer0.b": np.full(3, np.nan)})
+    named = SGD(net.parameters(), lr=0.1, name="g")
+    with pytest.raises(NumericalError,
+                       match=r"^non-finite gradient for g\.layer0\.b$"):
+        named.step({"layer0.b": np.full(3, np.inf)})
 
 
 def test_no_grad_records_nothing_and_restores():

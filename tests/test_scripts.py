@@ -48,12 +48,17 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
         f"machine: {json.dumps(MACHINE)}",
         json.dumps({"correct": True, "attempted": 6, "failed": 0,
                     "metrics": traced})])
+    # each protocol arm's run prints its wall time in seconds
+    arms = load_script("run_ring8").ARMS
+    walls = dict(zip(arms, ("2.0", "1.6", "2.5")))
+    arm_stdouts = {arm: f"{wall}\n" for arm, wall in walls.items()}
     record = bench.assemble("pr8", {"commit": None, "parent": "abc1234"},
-                            e2e_stdout, counters_stdout)
-    # the schema of the committed BENCH files, which gained the phases
+                            e2e_stdout, counters_stdout, arm_stdouts)
+    # the schema of the committed BENCH files, which gained the phases and
+    # the arms
     assert list(record) == ["label", "commit", "parent", "commands", "machine",
                             "end_to_end", "ring8_matcher_counters",
-                            "ring8_matcher_phases"]
+                            "ring8_matcher_phases", "ring8_arms"]
     assert record["label"] == "pr8" and record["parent"] == "abc1234"
     assert record["machine"] == MACHINE
     assert record["end_to_end"] == end_to_end
@@ -64,7 +69,21 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
         "trainer.update_trackers.ms": metric(1.5, "ms"),
         "trainer.g_step.ms": metric(2.5, "ms"),
         "trainer.eval_callback.ms": metric(3.5, "ms")}
+    # 1000 steps over each arm's wall time, in ARMS order
+    assert record["ring8_arms"] == {"matcher": metric(500.0, "steps/s"),
+                                    "baseline": metric(625.0, "steps/s"),
+                                    "nopenalty": metric(400.0, "steps/s")}
+    assert list(record["ring8_arms"]) == list(arms)
     committed = json.loads((SCRIPTS.parent / "BENCH_pr6.json").read_text())
     assert record["commands"] == committed["commands"]
     assert set(record["ring8_matcher_counters"]) == set(
         committed["ring8_matcher_counters"])
+
+
+def test_bench_arm_run_prints_its_wall_time():
+    # a shortened arm in the fresh process bench.py times the arms in;
+    # later flags override ARM_ARGV's
+    bench = load_script("bench")
+    stdout = bench.run_arm(["--baseline", "--steps", "20",
+                            "--eval-interval", "20"])
+    assert float(stdout.split()[-1]) > 0.0

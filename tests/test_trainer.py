@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -43,10 +45,10 @@ def history_tuples(result):
 def test_train_smoke_and_result_shape():
     res = train(tiny_cfg(), make_dataset("ring8"))
     assert isinstance(res, TrainResult)
-    assert len(res.history) == 5
-    assert [r.step for r in res.history] == [1, 2, 3, 4, 5]
-    for r in res.history:
-        for v in history_tuples(res)[r.step - 1][1:]:
+    # one report per report step: every eval_interval=2 steps and the last
+    assert [r.step for r in res.history] == [2, 4, 5]
+    for r, values in zip(res.history, history_tuples(res)):
+        for v in values[1:]:
             assert np.isfinite(v)
         assert r.loss_d >= 0.0  # negated sum of log-probabilities
         assert r.r_g >= 0.0
@@ -73,7 +75,8 @@ def test_longer_run_extends_shorter_run_exactly():
     data = make_dataset("grid25")
     short = train(tiny_cfg(steps=4, seed=3), data)
     long = train(tiny_cfg(steps=9, seed=3), data)
-    assert history_tuples(long)[:4] == history_tuples(short)
+    # the reports of steps 2 and 4
+    assert history_tuples(long)[:2] == history_tuples(short)
 
 
 def test_step_ordering_is_d_then_trackers_then_g(monkeypatch):
@@ -184,7 +187,7 @@ def test_baseline_mode_skips_manifold_machinery(monkeypatch):
     res = train(tiny_cfg(steps=4, baseline=True), make_dataset("ring8"))
     assert called == []
     assert res.real_tracker.current is None
-    assert len(res.history) == 4
+    assert [r.step for r in res.history] == [2, 4]
     assert all(np.isfinite(r.loss_g) for r in res.history)
 
 
@@ -202,20 +205,32 @@ def test_numerical_error_carries_step_index(monkeypatch):
         train(tiny_cfg(steps=5), make_dataset("ring8"))
 
 
-@pytest.mark.parametrize("keys, per_step, backward_nodes, tensors", [
-    (dict(kernel="rbf", beta=1.0),
-     dict(forward=5, mean_gram=3, kernel_radius=2, r_g=2), [10, 27], 46),
-    (dict(kernel="rbf", beta=0.0),
-     dict(forward=5, mean_gram=3, kernel_radius=2, r_g=1), [10, 21], 40),
-    (dict(baseline=True),
-     dict(forward=5, mean_gram=0, kernel_radius=0, r_g=1), [10, 9], 42),
-], ids=["rbf", "rbf-beta0", "baseline"])
-def test_work_per_step(monkeypatch, keys, per_step, backward_nodes, tensors):
+ARMS = {"rbf": dict(kernel="rbf", beta=1.0),
+        "rbf-beta0": dict(kernel="rbf", beta=0.0),
+        "baseline": dict(baseline=True)}
+
+
+@pytest.mark.parametrize("keys, per_step, report_extra, backward_nodes, tensors", [
+    (ARMS["rbf"],
+     dict(forward=5, forward_values=1, mean_gram=3, kernel_radius=2, r_g=2),
+     {}, [10, 27], (46, 46)),
+    (ARMS["rbf-beta0"],
+     dict(forward=5, forward_values=1, mean_gram=3, kernel_radius=2, r_g=0),
+     dict(r_g=1), [10, 21], (37, 40)),
+    (ARMS["baseline"],
+     dict(forward=4, forward_values=0, mean_gram=0, kernel_radius=0, r_g=0),
+     dict(forward=1, forward_values=1, r_g=1), [10, 9], (14, 42)),
+], ids=list(ARMS))
+def test_work_per_step(monkeypatch, keys, per_step, report_extra,
+                       backward_nodes, tensors):
     # each quantity is computed once per step: one G forward, one D pass
-    # over each batch before and after D's update, each batch's mean Gram
-    # shared by its radius and the MMD^2, and the fake rg_score shared by
-    # the penalty and the report; r_g, l_orig and l_g_baseline are one
-    # node each, and G's backward holds no D parameter
+    # over each batch before D's update and over the fakes after it, each
+    # batch's mean Gram shared by its radius and the MMD^2, and the fake
+    # rg_score shared by the penalty and the report; r_g, l_orig and
+    # l_g_baseline are one node each, and G's backward holds no D
+    # parameter. Only a report step does what the report alone reads: the
+    # baseline's pass of the updated D over the real batch and its
+    # matching terms, and the fake rg_score of the baseline and of beta 0.
     counts = dict.fromkeys(per_step, 0)
 
     def count(owner, name, key):
@@ -227,7 +242,9 @@ def test_work_per_step(monkeypatch, keys, per_step, backward_nodes, tensors):
 
         monkeypatch.setattr(owner, name, counted)
 
+    # forward_values runs a forward too, which counts as one
     count(Network, "forward", "forward")
+    count(Network, "forward_values", "forward_values")
     # loss.batch_stats calls mean_gram under the loss module's name
     count(kernel_mod, "mean_gram", "mean_gram")
     count(loss_mod, "mean_gram", "mean_gram")
@@ -236,7 +253,7 @@ def test_work_per_step(monkeypatch, keys, per_step, backward_nodes, tensors):
 
     # graph size: the nodes of each backward (D's, then G's), and the
     # Tensors made from one step's start to the next
-    sizes, made, step_starts = [], [0], []
+    sizes, made, at_step_start = [], [0], []
     orig_topo, orig_init, orig_d = (neural_mod.topo_order, Tensor.__init__,
                                     trainer_mod.d_step)
 
@@ -250,19 +267,113 @@ def test_work_per_step(monkeypatch, keys, per_step, backward_nodes, tensors):
         orig_init(self, *a, **k)
 
     def spy_d(*a):
-        step_starts.append(made[0])
+        at_step_start.append((dict(counts), made[0]))
         return orig_d(*a)
 
     monkeypatch.setattr(neural_mod, "topo_order", spy_topo)
     monkeypatch.setattr(Tensor, "__init__", spy_init)
     monkeypatch.setattr(trainer_mod, "d_step", spy_d)
-    steps = 3
-    train(tiny_cfg(steps=steps, **keys), make_dataset("ring8"))
-    assert counts == {key: n * steps for key, n in per_step.items()}
+    # steps 1-3 report nothing, step 4 is the one report step
+    steps = 4
+    train(tiny_cfg(steps=steps, eval_interval=steps, **keys),
+          make_dataset("ring8"))
+    at_step_start.append((dict(counts), made[0]))
+    per = [({k: b[k] - a[k] for k in a}, m - n)
+           for (a, n), (b, m) in zip(at_step_start, at_step_start[1:])]
+    report = {k: n + report_extra.get(k, 0) for k, n in per_step.items()}
+    assert [c for c, _ in per] == [per_step] * (steps - 1) + [report]
     # from the second step on, when the trackers blend in history
     assert sizes[2:] == backward_nodes * (steps - 1)
-    step_starts.append(made[0])
-    assert np.diff(step_starts)[1:].tolist() == [tensors] * (steps - 1)
+    assert [t for _, t in per[1:]] == [tensors[0]] * (steps - 2) + [tensors[1]]
+
+
+@pytest.mark.parametrize("keys", ARMS.values(), ids=list(ARMS))
+def test_reporting_does_not_steer_training(keys):
+    # reporting on every step or on every fourth gives the same weights,
+    # bit for bit, and the same reports where both report
+    data = make_dataset("ring8")
+    every = train(tiny_cfg(steps=12, eval_interval=1, **keys), data)
+    fourth = train(tiny_cfg(steps=12, eval_interval=4, **keys), data)
+    for net in ("generator", "discriminator"):
+        a = getattr(every, net).parameters()
+        b = getattr(fourth, net).parameters()
+        for k in a:
+            assert np.array_equal(a[k].value, b[k].value), (net, k)
+    assert [r.step for r in fourth.history] == [4, 8, 12]
+    assert history_tuples(every)[3::4] == history_tuples(fourth)
+
+
+def _on_call(n, fn, before=lambda args: None, after=lambda args, out: out):
+    """fn, except that its nth call runs before(args) first and returns
+    after(args, result)."""
+    calls = []
+
+    def wrapped(*args):
+        calls.append(1)
+        if len(calls) != n:
+            return fn(*args)
+        before(args)
+        return after(args, fn(*args))
+
+    return wrapped
+
+
+def _poison(net, layer):
+    net.layers[layer].weight.value[0, 0] = np.nan
+
+
+@pytest.mark.parametrize("keys", ARMS.values(), ids=list(ARMS))
+def test_nonfinite_on_a_non_report_step_aborts_at_that_step(monkeypatch, keys):
+    # step 6 reports nothing at eval_interval 4; the abort still names it
+    cfg = tiny_cfg(steps=12, eval_interval=4, **keys)
+
+    def poison_updated_d(args, out):  # d_step(g_net, d_net, ...)
+        _poison(args[1], 1)
+        return out
+
+    monkeypatch.setattr(trainer_mod, "d_step",
+                        _on_call(6, d_step, after=poison_updated_d))
+    with pytest.raises(NumericalError,
+                       match=r"^non-finite activation in d\.layer1 \(step 6\)$"):
+        train(cfg, make_dataset("ring8"))
+
+    def nan_loss_g(args, out):
+        return np.nan, out[1]
+
+    monkeypatch.setattr(trainer_mod, "d_step", d_step)
+    monkeypatch.setattr(trainer_mod, "g_step",
+                        _on_call(6, g_step, after=nan_loss_g))
+    with pytest.raises(NumericalError,
+                       match=r"^non-finite loss_g \(step 6\)$"):
+        train(cfg, make_dataset("ring8"))
+
+
+@pytest.mark.parametrize("net, layer", [("g", 1), ("d", 0)])
+def test_forward_abort_names_network_layer_and_step(monkeypatch, net, layer):
+    # a NaN put into one weight before step 3's D update
+    def poison(args):  # d_step(g_net, d_net, ...)
+        _poison(dict(g=args[0], d=args[1])[net], layer)
+
+    monkeypatch.setattr(trainer_mod, "d_step",
+                        _on_call(3, d_step, before=poison))
+    with pytest.raises(NumericalError, match=(
+            rf"^non-finite activation in {net}\.layer{layer} \(step 3\)$")):
+        train(tiny_cfg(steps=5), make_dataset("ring8"))
+
+
+@pytest.mark.parametrize("call, name", [(5, "d.layer0.w"), (6, "g.layer1.w")])
+def test_gradient_abort_names_network_parameter_and_step(monkeypatch, call,
+                                                         name):
+    # each step takes D's gradients, then G's: calls 5 and 6 are step 3's
+    def poison_grad(args, grads):
+        grads[name.split(".", 1)[1]][0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(trainer_mod, "gradients", _on_call(
+        call, trainer_mod.gradients, after=poison_grad))
+    with pytest.raises(NumericalError, match=(
+            rf"^non-finite gradient for {re.escape(name)} \(step 3\)$")):
+        train(tiny_cfg(steps=5), make_dataset("ring8"))
 
 
 def test_shared_values_equal_a_fresh_value_pass(monkeypatch):
@@ -389,9 +500,13 @@ def test_g_step_touches_only_generator():
     out_fake, feat_fake = d.forward(g.forward(z)[0])
     stats = update_trackers(None, feat_real, feat_fake, rt, ft)
     gs, ds = snapshot(g), snapshot(d)
-    out = g_step(cfg.loss_config(), opt_g, feat_real, out_fake, feat_fake, stats)
+    loss_g, terms = g_step(cfg.loss_config(), opt_g, feat_real, out_fake,
+                           feat_fake, stats)
     assert changed(g, gs) and not changed(d, ds)
-    assert all(np.isfinite(v) for v in out)
+    # the objective's value, and the terms it was assembled from
+    assert loss_g == terms.total.item()
+    assert all(np.isfinite(t.item()) for t in
+               (terms.manifold, terms.radius, terms.rg, terms.rg_fake))
 
 
 def test_update_trackers_initializes_both():
