@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 invalid config or usage, 2 unwritable output
 directory or missing/corrupt saved parameters, 3 numerical abort during
-training, 4 gradient check failure.
+training or evaluation, 4 gradient check failure.
 """
 from __future__ import annotations
 
@@ -234,14 +234,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     try:
         net = load_network(os.path.join(args.out, PARAMS_FILE))
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, NumericalError) as e:  # a non-finite weight
         print(f"error: cannot load parameters: {e}", file=sys.stderr)
         return EXIT_IO
 
     try:
-        fake, real = draw_eval_batch(net, data, cfg.eval_samples,
-                                     seed=cfg.seed, step=cfg.steps)
-        row = score_samples(fake, real, data, step=cfg.steps)
+        with np.errstate(all="ignore"):  # forward reports an overflow
+            fake, real = draw_eval_batch(net, data, cfg.eval_samples,
+                                         seed=cfg.seed, step=cfg.steps)
+            row = score_samples(fake, real, data, step=cfg.steps)
+    except NumericalError as e:
+        print(f"numerical abort: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

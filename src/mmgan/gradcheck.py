@@ -15,6 +15,11 @@ A ``+rg`` row would repeat its base row where the correlation penalty's
 hinge is 0, so each seed's batches are redrawn from its generator until
 the fake batch is more correlated than the real one (seed 0 needs one
 draw). A non-finite error fails its row.
+
+D's features of the real batch and their statistics (`loss.batch_stats`,
+the form training builds) depend on no parameter of G, so each variant
+computes them once and every loss evaluation reads them as constants: the
+same bits that recomputing them per evaluation gives.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from mmgan.kernel import KERNEL_KINDS, KernelSpec
-from mmgan.loss import LossConfig, generator_terms, rg_score
+from mmgan.loss import LossConfig, batch_stats, generator_terms, rg_score
 from mmgan.neural import Network, constant, gradients, no_grad
 
 __all__ = ["BASES", "TOLERANCE", "variant_names", "check_variant", "run_suite"]
@@ -78,11 +83,10 @@ def _build(seed: int) -> tuple:
 
 
 def _loss_value(cfg: LossConfig, g_net: Network, d_net: Network,
-                z: np.ndarray, x: np.ndarray):
+                z: np.ndarray, feat_real: np.ndarray, real: tuple):
     fake_pts, _ = g_net.forward(constant(z))
-    feat_real = d_net.forward(constant(x))[1]
     feat_fake = d_net.forward(fake_pts)[1]
-    return generator_terms(cfg, feat_real, feat_fake).total
+    return generator_terms(cfg, feat_real, feat_fake, real).total
 
 
 def check_variant(name: str, alpha: float = 1.0, beta: float = 1.0,
@@ -93,8 +97,11 @@ def check_variant(name: str, alpha: float = 1.0, beta: float = 1.0,
     entry so the failure path can be exercised."""
     cfg = _config(name, alpha, beta, gamma)
     g_net, d_net, z, x = _build(seed)
+    feat_real = d_net.forward_values(x)[1]  # fixed under any G perturbation
+    args = (cfg, g_net, d_net, z, feat_real,
+            batch_stats(cfg.kernel, constant(feat_real)))
     params = g_net.parameters()
-    analytic = gradients(_loss_value(cfg, g_net, d_net, z, x), params)
+    analytic = gradients(_loss_value(*args), params)
     if inject_fault:
         first = next(iter(analytic))
         analytic[first] = analytic[first] + 1e-2
@@ -106,9 +113,9 @@ def check_variant(name: str, alpha: float = 1.0, beta: float = 1.0,
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + _FD_STEP
-                hi = _loss_value(cfg, g_net, d_net, z, x).item()
+                hi = _loss_value(*args).item()
                 flat[i] = orig - _FD_STEP
-                lo = _loss_value(cfg, g_net, d_net, z, x).item()
+                lo = _loss_value(*args).item()
                 flat[i] = orig
                 fd[i] = (hi - lo) / (2.0 * _FD_STEP)
         a = analytic[key].reshape(-1)

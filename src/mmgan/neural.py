@@ -99,15 +99,17 @@ def node(value, parents, vjp):
     return Tensor(value)
 
 
+def _sigmoid(a):
+    e = np.exp(-np.abs(a))  # two-branch form: exp(-|a|) cannot overflow
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
+
+
 # name -> (value(a), vjp(g, a, out)) with out = value(a)
 _ACT = {
     "identity": (lambda a: a, lambda g, a, out: g),
     "relu": (lambda a: np.maximum(a, 0.0), lambda g, a, out: g * (a > 0.0)),
     "tanh": (np.tanh, lambda g, a, out: g * (1.0 - out * out)),
-    # two-branch form, stable for large |a|
-    "sigmoid": (lambda a: np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
-                                   np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a)))),
-                lambda g, a, out: g * out * (1.0 - out)),
+    "sigmoid": (_sigmoid, lambda g, a, out: g * out * (1.0 - out)),
 }
 ACTIVATIONS = tuple(_ACT)
 

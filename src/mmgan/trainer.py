@@ -141,9 +141,14 @@ def update_trackers(spec: KernelSpec | None, feat_real: np.ndarray,
     nodes and its state is the value of the blend g_step reads.
     """
     c, r, gram = batch_stats(spec, constant(feat_real))
-    real = (*tracker_update(real_tracker, c, r.item()), gram)
-    c, r, gram = batch_stats(spec, feat_fake)
-    return real, (*tracker_update(fake_tracker, c, r), gram)
+    side = "real"
+    try:
+        real = (*tracker_update(real_tracker, c, r.item()), gram)
+        side = "fake"
+        c, r, gram = batch_stats(spec, feat_fake)
+        return real, (*tracker_update(fake_tracker, c, r), gram)
+    except NumericalError as e:
+        raise NumericalError(f"{side} tracker: {e}") from e
 
 
 def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: np.ndarray | None,

@@ -673,3 +673,70 @@ def test_eval_fuzz_over_flag_space(finished_run, data):
         assert len(out.splitlines()) == 2
     else:
         assert out == "" and err.startswith("error:")
+
+
+# generator.bin: a 16-byte file header, then per layer a 12-byte header,
+# the weights and the bias (persist.py)
+_FIRST_WEIGHT = 16 + 12
+
+
+def _eval_with_params(run, tmp, params: bytes) -> tuple:
+    """`mmgan eval` on a copy of run whose generator.bin holds params."""
+    copy = os.path.join(tmp, "run")
+    os.makedirs(copy, exist_ok=True)
+    with open(os.path.join(copy, "manifest.txt"), "wb") as f:
+        f.write((run / "manifest.txt").read_bytes())
+    with open(os.path.join(copy, "generator.bin"), "wb") as f:
+        f.write(params)
+    return _main_quietly(["eval", "--out", copy])
+
+
+def test_eval_nonfinite_saved_weight_exits_2(finished_run, tmp_path):
+    params = bytearray((finished_run / "generator.bin").read_bytes())
+    struct.pack_into("<d", params, _FIRST_WEIGHT, np.nan)
+    code, out, err = _eval_with_params(finished_run, str(tmp_path), params)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith("error: cannot load parameters:")
+    assert "non-finite" in err
+
+
+def test_eval_overflowing_weights_exit_3(finished_run, tmp_path):
+    # finite weights of 1e308 overflow in G's first layer
+    net = load_network(finished_run / "generator.bin")
+    params = bytearray((finished_run / "generator.bin").read_bytes())
+    count = net.layers[0].weight.value.size
+    struct.pack_into(f"<{count}d", params, _FIRST_WEIGHT, *[1e308] * count)
+    code, out, err = _eval_with_params(finished_run, str(tmp_path), params)
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.startswith("numerical abort:") and "layer0" in err
+
+
+_SPECIAL_FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308,
+                                   1e200, 5e-324, 0.0]) | st.floats()
+_PARAM_MUTATIONS = st.lists(st.one_of(
+    st.tuples(st.just("byte"), st.integers(0, 10**6), st.integers(0, 255)),
+    st.tuples(st.just("f64"), st.integers(0, 10**6), _SPECIAL_FLOATS),
+    st.tuples(st.just("cut"), st.integers(0, 10**6), st.just(None))),
+    min_size=1, max_size=4)
+
+
+@settings(deadline=None, max_examples=100)
+@given(mutations=_PARAM_MUTATIONS)
+def test_eval_fuzz_over_mutated_params(finished_run, mutations):
+    params = bytearray((finished_run / "generator.bin").read_bytes())
+    for kind, at, value in mutations:
+        if kind == "cut":
+            del params[at % (len(params) + 1):]
+        elif kind == "byte" and params:
+            params[at % len(params)] = value
+        elif kind == "f64" and len(params) >= 8:
+            struct.pack_into("<d", params, at % (len(params) - 7), value)
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = _eval_with_params(finished_run, tmp, bytes(params))
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+    if code == 0:
+        assert len(out.splitlines()) == 2
+    else:
+        assert out == "" and err.startswith(("error:", "numerical abort:"))

@@ -1,4 +1,5 @@
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from mmgan.gradcheck import (BASES, TOLERANCE, _build, _config,
                              check_variant, run_suite, variant_names)
 from mmgan.loss import generator_terms
 from mmgan.manifold import ManifoldTracker
-from mmgan.neural import constant
+from mmgan.neural import constant, gradients
 from mmgan.trainer import update_trackers
 
 
@@ -101,3 +102,48 @@ def test_gradcheck_checks_the_trainer_objective(base):
     for name in ("total", "manifold", "radius"):
         assert np.array_equal(getattr(trained, name).value,
                               getattr(checked, name).value), name
+
+
+def _recorded_loss_values(monkeypatch) -> list:
+    """Record the arguments of every _loss_value call, the unit of work
+    the benchmark counts."""
+    exact = gradcheck_mod._loss_value
+    calls = []
+
+    def recorded(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(gradcheck_mod, "_loss_value", recorded)
+    return calls
+
+
+def test_loss_value_runs_once_per_loss_evaluation(monkeypatch):
+    calls = _recorded_loss_values(monkeypatch)
+    run_suite(seed=1)
+    # one analytic evaluation and two per entry of G's 202 parameters
+    per_variant = Counter(args[0] for args in calls)
+    assert set(per_variant) == {_config(name, 1.0, 1.0, None)
+                                for name in variant_names()}
+    assert set(per_variant.values()) == {1 + 2 * 202}
+    assert len(calls) == 3240
+
+
+@pytest.mark.parametrize("name", variant_names())
+def test_hoisted_real_side_gives_the_full_objective(monkeypatch, name):
+    # the real side check_variant computes once is the one a G perturbation
+    # would recompute: value and G gradients match the full objective's bits
+    calls = _recorded_loss_values(monkeypatch)
+    check_variant(name, seed=1)
+    cfg, g_net, d_net, z, feat_real, real = calls[0]
+    assert all(args[4] is feat_real and args[5] is real for args in calls)
+    params = g_net.parameters()
+    params["layer1.w"].value[3, 2] += 1e-3
+    x = _build(1)[3]
+    hoisted = gradcheck_mod._loss_value(cfg, g_net, d_net, z, feat_real, real)
+    full = generator_terms(cfg, d_net.forward(constant(x))[1],
+                           d_net.forward(g_net.forward(constant(z))[0])[1])
+    assert hoisted.value.tobytes() == full.total.value.tobytes()
+    want = gradients(full.total, params)
+    for key, grad in gradients(hoisted, params).items():
+        assert grad.tobytes() == want[key].tobytes(), key

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mmgan.neural as neural_mod
 from mmgan.neural import (
     ACTIVATIONS,
     Layer,
@@ -230,6 +231,17 @@ def test_sigmoid_extremes_finite():
     grads = backward(s.sum())
     assert all(np.isfinite(grads[t]).all()
                for t in (x, *net.parameters().values()))
+
+
+def test_sigmoid_equals_the_three_exp_formula_bit_for_bit():
+    # the form that evaluated exp(-|a|) three times
+    a = np.concatenate([
+        [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0, 800.0, -800.0],
+        np.random.default_rng(0).normal(scale=10.0, size=200)])
+    three = np.where(a >= 0, 1.0 / (1.0 + np.exp(-np.abs(a))),
+                     np.exp(-np.abs(a)) / (1.0 + np.exp(-np.abs(a))))
+    sigmoid, _ = neural_mod._ACT["sigmoid"]
+    assert sigmoid(a).tobytes() == three.tobytes()
 
 
 def test_parameter_rejects_nonfinite():

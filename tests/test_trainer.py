@@ -205,6 +205,27 @@ def test_numerical_error_carries_step_index(monkeypatch):
         train(tiny_cfg(steps=5), make_dataset("ring8"))
 
 
+@pytest.mark.parametrize("side", ["real", "fake"])
+def test_nonfinite_tracker_statistics_name_the_side_and_step(monkeypatch,
+                                                              side):
+    exact = trainer_mod.batch_stats
+    folds = []
+
+    def blown(spec, reps):
+        c, r, gram = exact(spec, reps)
+        # the fake batch is G's graph node, the real one a constant
+        if reps.requires_grad == (side == "fake"):
+            folds.append(1)
+            if len(folds) == 3:
+                r = r + np.inf
+        return c, r, gram
+
+    monkeypatch.setattr(trainer_mod, "batch_stats", blown)
+    with pytest.raises(NumericalError, match=rf"^{side} tracker: manifold "
+                       r"statistics must be finite \(step 3\)$"):
+        train(tiny_cfg(steps=5), make_dataset("ring8"))
+
+
 ARMS = {"rbf": dict(kernel="rbf", beta=1.0),
         "rbf-beta0": dict(kernel="rbf", beta=0.0),
         "baseline": dict(baseline=True)}
