@@ -15,7 +15,9 @@ over the wall time of that call.
 The file records the machine, the end-to-end result, the ring8 counters
 and phases and the arms' steps/s, with the commands that produced them and
 the commit they were measured on (`commit` is null, and `parent` names
-HEAD, when the working tree has uncommitted changes).
+HEAD, when the working tree has uncommitted changes). `src_lines` is the
+size of the measured package: the line count of src/mmgan/*.py, as
+`cat src/mmgan/*.py | wc -l` prints it.
 """
 import argparse
 import json
@@ -68,6 +70,12 @@ print(wall)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
+def src_lines() -> int:
+    """Newline count of src/mmgan/*.py, as wc -l counts it."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (SRC / "mmgan").glob("*.py"))
+
+
 def parse_run(stdout: str) -> tuple:
     """(machine record, result) of one perfbench run: the first
     `machine:` line (prefixed by the workload under --workload all) and
@@ -95,6 +103,7 @@ def assemble(label: str, revisions: dict, end_to_end_stdout: str,
         **revisions,
         "commands": COMMANDS,
         "machine": machine,
+        "src_lines": src_lines(),
         "end_to_end": end_to_end,
         "ring8_matcher_counters": {k: traced["metrics"][k] for k in COUNTERS},
         "ring8_matcher_phases": {k: traced["metrics"][k] for k in PHASES},

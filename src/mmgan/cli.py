@@ -234,6 +234,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     try:
         net = load_network(os.path.join(args.out, PARAMS_FILE))
+        net.name = "g"  # the file holds the generator alone
     except (OSError, ValueError, NumericalError) as e:  # a non-finite weight
         print(f"error: cannot load parameters: {e}", file=sys.stderr)
         return EXIT_IO

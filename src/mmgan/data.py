@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,8 +121,11 @@ def load_idx(images_path) -> DatasetHandle:
     """
     # read what the file holds, never what the header claims: a forged
     # header may name more bytes than any buffer can hold
-    with _open_maybe_gz(images_path) as f:
-        raw = f.read()
+    try:
+        with _open_maybe_gz(images_path) as f:
+            raw = f.read()
+    except (EOFError, zlib.error) as e:  # a truncated or corrupt .gz
+        raise ValueError(f"damaged gzip data in {images_path}: {e}") from e
     if len(raw) < _IDX_HEADER.size:
         raise ValueError("truncated idx header")
     magic, count, rows, cols = _IDX_HEADER.unpack_from(raw)

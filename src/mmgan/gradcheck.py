@@ -28,7 +28,7 @@ import numpy as np
 
 from mmgan.kernel import KERNEL_KINDS, KernelSpec
 from mmgan.loss import LossConfig, batch_stats, generator_terms, rg_score
-from mmgan.neural import Network, constant, gradients, no_grad
+from mmgan.neural import Network, Tensor, constant, gradients, no_grad
 
 __all__ = ["BASES", "TOLERANCE", "variant_names", "check_variant", "run_suite"]
 
@@ -83,7 +83,7 @@ def _build(seed: int) -> tuple:
 
 
 def _loss_value(cfg: LossConfig, g_net: Network, d_net: Network,
-                z: np.ndarray, feat_real: np.ndarray, real: tuple):
+                z: np.ndarray, feat_real: Tensor, real: tuple):
     fake_pts, _ = g_net.forward(constant(z))
     feat_fake = d_net.forward(fake_pts)[1]
     return generator_terms(cfg, feat_real, feat_fake, real).total
@@ -97,9 +97,9 @@ def check_variant(name: str, alpha: float = 1.0, beta: float = 1.0,
     entry so the failure path can be exercised."""
     cfg = _config(name, alpha, beta, gamma)
     g_net, d_net, z, x = _build(seed)
-    feat_real = d_net.forward_values(x)[1]  # fixed under any G perturbation
-    args = (cfg, g_net, d_net, z, feat_real,
-            batch_stats(cfg.kernel, constant(feat_real)))
+    # fixed under any G perturbation
+    feat_real = constant(d_net.forward_values(x)[1])
+    args = (cfg, g_net, d_net, z, feat_real, batch_stats(cfg.kernel, feat_real))
     params = g_net.parameters()
     analytic = gradients(_loss_value(*args), params)
     if inject_fault:

@@ -1,5 +1,5 @@
-"""Assembly of generator and discriminator objectives, each written once
-in Tensor ops: graph Tensors in give nodes, numpy arrays in give floats.
+"""Generator and discriminator objectives, each written once in Tensor ops;
+`l_orig`, `l_g_baseline` and `rg_score` also take numpy arrays, floats out.
 
 `batch_stats` alone decides which statistics of a batch each geometry
 compares. Two radius conventions coexist and must never be mixed: the
@@ -91,9 +91,9 @@ class LossReport:
 
 @dataclass
 class GeneratorTerms:
-    """Decomposed generator objective. Fields are Tensors (floats for array
-    inputs); rg is rg_penalty and rg_fake the fake batch's rg_score it
-    charges, both None when beta is 0."""
+    """Decomposed generator objective. Fields are Tensors; rg is rg_penalty
+    and rg_fake the fake batch's rg_score it charges, both None when beta
+    is 0."""
 
     manifold: object
     radius: object
@@ -204,10 +204,9 @@ def rg_penalty(score_real, score_fake):
     return (score_fake - score_real).clamp_min(0.0)
 
 
-@accepts_arrays
 def generator_terms(cfg: LossConfig, reps_real, reps_fake,
                     real=None, fake=None) -> GeneratorTerms:
-    """Build the decomposed generator objective.
+    """The decomposed generator objective over two batches' Tensors.
 
     real and fake are each a batch's (centroid, radius, mean_gram) triple
     in the form `batch_stats` returns; None means that batch's own

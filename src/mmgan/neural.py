@@ -119,7 +119,7 @@ class Tensor:
 
     `value` is always a float64 ndarray. Leaf nodes are made with
     `constant` or `parameter`; everything else comes from the ops below.
-    Shapes follow numpy broadcasting; matmul is restricted to 2-D operands.
+    Shapes follow numpy broadcasting.
     `seq` numbers the Tensors in the order they are made.
     """
 
@@ -142,17 +142,8 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    @property
-    def T(self) -> "Tensor":
-        out = self.value.T
-        return node(out, (self,), lambda g: (g.T,))
-
     def item(self) -> float:
         return float(self.value)
-
-    def __repr__(self):
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.value.shape}{flag})"
 
     # -- arithmetic ------------------------------------------------------
 
@@ -192,20 +183,9 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            a, b = self.value, other.value
-            return node(a / b, (self, other),
-                         lambda g: (_unbroadcast(g / b, a.shape),
-                                    _unbroadcast(-g * a / (b * b), b.shape)))
+    def __truediv__(self, other: float):
         a = self.value
         return node(a / other, (self,), lambda g: (_unbroadcast(g / other, a.shape),))
-
-    def __matmul__(self, other: "Tensor"):
-        a, b = self.value, other.value
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError(f"matmul expects 2-D operands, got {a.shape} @ {b.shape}")
-        return node(a @ b, (self, other), lambda g: (g @ b.T, a.T @ g))
 
     # -- reductions ------------------------------------------------------
 
@@ -229,10 +209,6 @@ class Tensor:
 
     # -- elementwise nonlinearities ---------------------------------------
 
-    def log(self) -> "Tensor":
-        a = self.value
-        return node(np.log(a), (self,), lambda g: (g / a,))
-
     def sqrt(self) -> "Tensor":
         out = np.sqrt(self.value)
 
@@ -245,11 +221,6 @@ class Tensor:
     def abs(self) -> "Tensor":
         a = self.value
         return node(np.abs(a), (self,), lambda g: (g * np.sign(a),))
-
-    def clamp(self, lo: float, hi: float) -> "Tensor":
-        a = self.value
-        out = np.clip(a, lo, hi)
-        return node(out, (self,), lambda g: (g * ((a > lo) & (a < hi)),))
 
     def clamp_min(self, lo: float) -> "Tensor":
         a = self.value
@@ -279,12 +250,9 @@ def _lift(x):
 
 
 def _plain(x):
-    """Tensor -> float (scalar) or array; dataclass -> same, per field."""
+    """Tensor -> float (scalar) or array."""
     if isinstance(x, Tensor):
         return float(x.value) if x.value.ndim == 0 else x.value
-    if dataclasses.is_dataclass(x):
-        return dataclasses.replace(x, **{f.name: _plain(getattr(x, f.name))
-                                         for f in dataclasses.fields(x)})
     return x
 
 

@@ -127,7 +127,7 @@ def d_step(g_net: Network, d_net: Network, opt_d: SGD,
     return loss_node.item(), fake
 
 
-def update_trackers(spec: KernelSpec | None, feat_real: np.ndarray,
+def update_trackers(spec: KernelSpec | None, feat_real: Tensor,
                     feat_fake: Tensor, real_tracker: ManifoldTracker,
                     fake_tracker: ManifoldTracker) -> tuple:
     """Fold this batch's statistics (`loss.batch_stats`), measured with the
@@ -135,12 +135,12 @@ def update_trackers(spec: KernelSpec | None, feat_real: np.ndarray,
     and return the two blended (centroid, radius, mean_gram) triples that
     g_step reads, real first.
 
-    feat_real holds the real features as values, and the real radius is
-    folded as a value; feat_fake holds the fake ones as the graph node
+    feat_real holds the real features as a constant, and the real radius
+    is folded as a value; feat_fake holds the fake ones as the graph node
     g_step differentiates, so the fake tracker folds in the mini-batch
     nodes and its state is the value of the blend g_step reads.
     """
-    c, r, gram = batch_stats(spec, constant(feat_real))
+    c, r, gram = batch_stats(spec, feat_real)
     side = "real"
     try:
         real = (*tracker_update(real_tracker, c, r.item()), gram)
@@ -151,7 +151,7 @@ def update_trackers(spec: KernelSpec | None, feat_real: np.ndarray,
         raise NumericalError(f"{side} tracker: {e}") from e
 
 
-def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: np.ndarray | None,
+def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: Tensor | None,
            out_fake: Tensor, feat_fake: Tensor, stats: tuple | None) -> tuple:
     """One generator update through the (fixed) discriminator's graph on
     this step's fake node (out_fake, feat_fake), on the matching objective
@@ -256,11 +256,12 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
             # the updated discriminator's one pass over each batch it reads
             feat_real = (d_net.forward_values(x)[1]
                          if lc is not None or reporting else None)
+            # the matcher's trackers and objective share one real node
+            real = None if lc is None else constant(feat_real)
             out_fake, feat_fake = d_const.forward(fake)
             stats = None if lc is None else update_trackers(
-                lc.kernel, feat_real, feat_fake, real_tracker, fake_tracker)
-            loss_g, terms = g_step(lc, opt_g, feat_real, out_fake, feat_fake,
-                                   stats)
+                lc.kernel, real, feat_fake, real_tracker, fake_tracker)
+            loss_g, terms = g_step(lc, opt_g, real, out_fake, feat_fake, stats)
             _fold_average(g_avg, g_net, step)
             _require_finite(loss_g=loss_g, loss_d=loss_d)
             if reporting:

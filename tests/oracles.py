@@ -1,17 +1,20 @@
 """Independent numerical oracles shared by the test suite.
 
 Deliberately implementation-naive: central finite differences, brute-force
-loops, and hand algebra only. Nothing here imports the package's autodiff
-machinery, so agreement between these and the real code is evidence, not
-tautology.
+loops, and hand algebra only. Only the composed references import the
+package's autodiff machinery, so agreement between the others and the real
+code is evidence, not tautology.
 
 The composed references at the end take Tensors and write a fused graph
-node's formula as a chain of primitive Tensor ops, each with its own
-tested vector-Jacobian product: the hand-written VJP of the fused node
-must agree with theirs.
+node's formula as a chain of primitive ops, each with its own
+vector-Jacobian product: the hand-written VJP of the fused node must agree
+with theirs. Primitives that no product graph runs (transpose, matmul,
+Tensor / Tensor, log, clamp) are built here as local `neural.node` ops.
 """
 
 import numpy as np
+
+from mmgan.neural import _unbroadcast, node
 
 
 def fd_gradients(f, arrays, h=1e-5):
@@ -101,26 +104,55 @@ def kernel_eval(spec, a, b):
     return float(np.exp(-gamma * np.sqrt(sq)))  # exp kernel, euclidean not squared
 
 
+def _transpose(t):
+    return node(t.value.T, (t,), lambda g: (g.T,))
+
+
+def _matmul(x, y):
+    a, b = x.value, y.value
+    return node(a @ b, (x, y), lambda g: (g @ b.T, a.T @ g))
+
+
+def _div(x, y):
+    """x / y of two Tensors, each gradient summed down to its shape."""
+    a, b = x.value, y.value
+    return node(a / b, (x, y),
+                lambda g: (_unbroadcast(g / b, a.shape),
+                           _unbroadcast(-g * a / (b * b), b.shape)))
+
+
+def _log(t):
+    a = t.value
+    return node(np.log(a), (t,), lambda g: (g / a,))
+
+
+def _clamp(t, lo: float, hi: float):
+    """clip to [lo, hi]; gradient 0 outside the open interval."""
+    a = t.value
+    return node(np.clip(a, lo, hi), (t,),
+                lambda g: (g * ((a > lo) & (a < hi)),))
+
+
 def composed_r_g(reps, eps: float):
-    """regularizer.r_g in primitive Tensor ops: ||I - A||_F with A the
-    row correlations, each row normalized by max(||row - mean||, eps)."""
+    """regularizer.r_g in primitive ops: ||I - A||_F with A the row
+    correlations, each row normalized by max(||row - mean||, eps)."""
     centered = reps - reps.mean(axis=1, keepdims=True)
     sq = (centered * centered).sum(axis=1, keepdims=True)
-    unit = centered / sq.sqrt().clamp_min(eps)
-    a = unit @ unit.T
+    unit = _div(centered, sq.sqrt().clamp_min(eps))
+    a = _matmul(unit, _transpose(unit))
     diff = np.eye(reps.value.shape[0]) - a
     return (diff * diff).sum().sqrt()
 
 
 def composed_l_orig(d_real, d_fake, clamp: float):
-    """loss.l_orig in primitive Tensor ops: mean log D(real) +
+    """loss.l_orig in primitive ops: mean log D(real) +
     mean log(1 - D(fake)), probabilities clamped to [clamp, 1 - clamp]."""
     lo, hi = clamp, 1.0 - clamp
-    return (d_real.clamp(lo, hi).log().mean()
-            + (1.0 - d_fake.clamp(lo, hi)).log().mean())
+    return (_log(_clamp(d_real, lo, hi)).mean()
+            + _log(1.0 - _clamp(d_fake, lo, hi)).mean())
 
 
 def composed_l_g_baseline(d_fake, clamp: float):
-    """loss.l_g_baseline in primitive Tensor ops: -mean log D(fake),
+    """loss.l_g_baseline in primitive ops: -mean log D(fake),
     probabilities clamped to [clamp, 1 - clamp]."""
-    return -(d_fake.clamp(clamp, 1.0 - clamp).log().mean())
+    return -(_log(_clamp(d_fake, clamp, 1.0 - clamp)).mean())

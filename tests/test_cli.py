@@ -2,6 +2,7 @@
 import contextlib
 import csv
 import dataclasses
+import gzip
 import io
 import os
 import struct
@@ -464,6 +465,44 @@ def test_train_rejects_oversized_idx_header(tmp_path, dims):
     assert not out.exists()
 
 
+def _damage_gz(path, damage):
+    """Gzip the IDX file at path in place, then truncate its stream or
+    corrupt its deflate data (block type 3, which deflate reserves)."""
+    gz = gzip.compress(path.read_bytes(), mtime=0)
+    path.write_bytes(gz[:len(gz) // 2] if damage == "truncated"
+                     else gz[:10] + b"\xff" + gz[11:])
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+def test_train_damaged_gz_idx_exits_1(tmp_path, damage):
+    p = tmp_path / "mini.idx.gz"
+    _write_idx(p)
+    _damage_gz(p, damage)
+    out = tmp_path / "run"
+    code, _, err = _main_quietly(["train", "--dataset", "idx", "--idx-images",
+                                  str(p), "--out", str(out)])
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith("error: damaged gzip data in") and str(p) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+def test_eval_damaged_gz_idx_exits_1(tmp_path, monkeypatch, damage):
+    # the run trains on an intact file, which is damaged afterwards
+    p = tmp_path / "mini.idx.gz"
+    _write_idx(p)
+    p.write_bytes(gzip.compress(p.read_bytes(), mtime=0))
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--dataset", "idx", "--idx-images", p.name,
+                 "--steps", "2", "--batch", "16", "--eval-samples", "32",
+                 "--out", "idx_run"]) == 0
+    p.write_bytes(gzip.decompress(p.read_bytes()))
+    _damage_gz(p, damage)
+    code, out, err = _main_quietly(["eval", "--out", "idx_run"])
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: damaged gzip data in") and str(p) in err
+
+
 # how a run wrote its manifest while IDX label files were still an input
 def _old_manifest(run_dir) -> str:
     run_dir.mkdir()
@@ -680,21 +719,31 @@ def test_eval_fuzz_over_flag_space(finished_run, data):
 _FIRST_WEIGHT = 16 + 12
 
 
-def _eval_with_params(run, tmp, params: bytes) -> tuple:
-    """`mmgan eval` on a copy of run whose generator.bin holds params."""
+def _eval_copy(run, tmp, manifest=None, params=None) -> tuple:
+    """`mmgan eval` on a copy of run, with the bytes given in place of its
+    manifest.txt or generator.bin."""
     copy = os.path.join(tmp, "run")
     os.makedirs(copy, exist_ok=True)
-    with open(os.path.join(copy, "manifest.txt"), "wb") as f:
-        f.write((run / "manifest.txt").read_bytes())
-    with open(os.path.join(copy, "generator.bin"), "wb") as f:
-        f.write(params)
+    for name, data in (("manifest.txt", manifest), ("generator.bin", params)):
+        with open(os.path.join(copy, name), "wb") as f:
+            f.write((run / name).read_bytes() if data is None else data)
     return _main_quietly(["eval", "--out", copy])
+
+
+def _assert_clean_eval(code, out, err):
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3, 4)
+    assert "Traceback" not in err
+    if code == 0:
+        assert len(out.splitlines()) == 2
+    else:
+        assert out == "" and err.startswith(("error:", "numerical abort:"))
 
 
 def test_eval_nonfinite_saved_weight_exits_2(finished_run, tmp_path):
     params = bytearray((finished_run / "generator.bin").read_bytes())
     struct.pack_into("<d", params, _FIRST_WEIGHT, np.nan)
-    code, out, err = _eval_with_params(finished_run, str(tmp_path), params)
+    code, out, err = _eval_copy(finished_run, str(tmp_path), params=params)
     assert code == 2 and out == "" and "Traceback" not in err
     assert err.startswith("error: cannot load parameters:")
     assert "non-finite" in err
@@ -706,9 +755,9 @@ def test_eval_overflowing_weights_exit_3(finished_run, tmp_path):
     params = bytearray((finished_run / "generator.bin").read_bytes())
     count = net.layers[0].weight.value.size
     struct.pack_into(f"<{count}d", params, _FIRST_WEIGHT, *[1e308] * count)
-    code, out, err = _eval_with_params(finished_run, str(tmp_path), params)
+    code, out, err = _eval_copy(finished_run, str(tmp_path), params=params)
     assert code == 3 and out == "" and "Traceback" not in err
-    assert err.startswith("numerical abort:") and "layer0" in err
+    assert err == "numerical abort: non-finite activation in g.layer0\n"
 
 
 _SPECIAL_FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308,
@@ -732,11 +781,41 @@ def test_eval_fuzz_over_mutated_params(finished_run, mutations):
         elif kind == "f64" and len(params) >= 8:
             struct.pack_into("<d", params, at % (len(params) - 7), value)
     with tempfile.TemporaryDirectory() as tmp:
-        code, out, err = _eval_with_params(finished_run, tmp, bytes(params))
-    event(f"exit {code}")
-    assert code in (0, 1, 2, 3, 4)
-    assert "Traceback" not in err
-    if code == 0:
-        assert len(out.splitlines()) == 2
-    else:
-        assert out == "" and err.startswith(("error:", "numerical abort:"))
+        code, out, err = _eval_copy(finished_run, tmp, params=bytes(params))
+    _assert_clean_eval(code, out, err)
+
+
+_CONFIG_KEYS = st.sampled_from([f.name for f in dataclasses.fields(RunConfig)])
+_CONFIG_VALUES = st.sampled_from(["", "0", "-1", "10001", "1e308", "nan",
+                                  "inf", "true", "none", "idx", "rbf",
+                                  "8,8", "2,"]) | st.text(max_size=20)
+_MANIFEST_MUTATIONS = st.lists(st.one_of(
+    st.tuples(st.just("byte"), st.integers(0, 10**6), st.integers(0, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 10**6), st.just(None)),
+    st.tuples(st.just("utf8"), st.integers(0, 10**6),
+              st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80"])),
+    st.tuples(st.just("line"), st.integers(0, 10**6), st.tuples(
+        _CONFIG_KEYS | st.text(max_size=12), _CONFIG_VALUES))),
+    min_size=1, max_size=4)
+
+
+@settings(deadline=None, max_examples=100)
+@given(mutations=_MANIFEST_MUTATIONS)
+def test_eval_fuzz_over_mutated_manifest(finished_run, mutations):
+    manifest = bytearray((finished_run / "manifest.txt").read_bytes())
+    for kind, at, value in mutations:
+        if kind == "cut":
+            del manifest[at % (len(manifest) + 1):]
+        elif kind == "byte" and manifest:
+            manifest[at % len(manifest)] = value
+        elif kind == "utf8":  # bytes no UTF-8 text holds there
+            i = at % (len(manifest) + 1)
+            manifest[i:i] = value
+        elif kind == "line":
+            lines = manifest.splitlines(keepends=True)
+            lines.insert(at % (len(lines) + 1),
+                         f"{value[0]} = {value[1]}\n".encode())
+            manifest = bytearray(b"".join(lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, out, err = _eval_copy(finished_run, tmp, manifest=bytes(manifest))
+    _assert_clean_eval(code, out, err)

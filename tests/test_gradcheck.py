@@ -82,9 +82,9 @@ def test_rg_variants_check_an_active_penalty(name, seed):
     g_net, d_net, z, x = _build(seed)
     fake = g_net.forward_values(z)[0]
     terms = generator_terms(_config(name, 1.0, 1.0, None),
-                            d_net.forward_values(x)[1],
-                            d_net.forward_values(fake)[1])
-    assert terms.rg > 0
+                            constant(d_net.forward_values(x)[1]),
+                            constant(d_net.forward_values(fake)[1]))
+    assert terms.rg.item() > 0
 
 
 @pytest.mark.parametrize("base", BASES)
@@ -97,7 +97,8 @@ def test_gradcheck_checks_the_trainer_objective(base):
     fr = d_net.forward(constant(x))[1]
     ff = d_net.forward(g_net.forward(constant(z))[0])[1]
     trained = generator_terms(cfg, fr, ff, *update_trackers(
-        cfg.kernel, fr.value, ff, ManifoldTracker(0.9), ManifoldTracker(0.9)))
+        cfg.kernel, constant(fr.value), ff, ManifoldTracker(0.9),
+        ManifoldTracker(0.9)))
     checked = generator_terms(cfg, fr, ff)
     for name in ("total", "manifold", "radius"):
         assert np.array_equal(getattr(trained, name).value,

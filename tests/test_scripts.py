@@ -2,6 +2,7 @@
 acceptance tests judge, bench.py writes the BENCH_<label>.json record."""
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import test_acceptance
@@ -54,13 +55,16 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
     arm_stdouts = {arm: f"{wall}\n" for arm, wall in walls.items()}
     record = bench.assemble("pr8", {"commit": None, "parent": "abc1234"},
                             e2e_stdout, counters_stdout, arm_stdouts)
-    # the schema of the committed BENCH files, which gained the phases and
-    # the arms
+    # the schema of the committed BENCH files, which gained the phases, the
+    # arms and the source size
     assert list(record) == ["label", "commit", "parent", "commands", "machine",
-                            "end_to_end", "ring8_matcher_counters",
+                            "src_lines", "end_to_end", "ring8_matcher_counters",
                             "ring8_matcher_phases", "ring8_arms"]
     assert record["label"] == "pr8" and record["parent"] == "abc1234"
     assert record["machine"] == MACHINE
+    wc = subprocess.run("cat src/mmgan/*.py | wc -l", shell=True, check=True,
+                        cwd=SCRIPTS.parent, capture_output=True, text=True)
+    assert record["src_lines"] == int(wc.stdout)
     assert record["end_to_end"] == end_to_end
     assert record["ring8_matcher_counters"] == {
         name: metric(float(i), "count") for i, name in enumerate(bench.COUNTERS)}
