@@ -10,7 +10,7 @@ from mmgan.neural import (
     Network,
     SGD,
 )
-from mmgan.manifold import SphereManifold, ManifoldTracker, estimate
+from mmgan.manifold import SphereManifold, ManifoldTracker
 from mmgan.kernel import KernelSpec
 from mmgan.loss import LossConfig, LossReport, generator_terms
 from mmgan.regularizer import r_g

@@ -127,16 +127,17 @@ def load_idx(images_path) -> DatasetHandle:
     except (EOFError, zlib.error) as e:  # a truncated or corrupt .gz
         raise ValueError(f"damaged gzip data in {images_path}: {e}") from e
     if len(raw) < _IDX_HEADER.size:
-        raise ValueError("truncated idx header")
+        raise ValueError(f"{images_path}: truncated idx header")
     magic, count, rows, cols = _IDX_HEADER.unpack_from(raw)
     if magic != IDX_IMAGES_MAGIC:
-        raise ValueError(
-            f"bad images magic {magic}, expected {IDX_IMAGES_MAGIC}")
+        raise ValueError(f"{images_path}: bad images magic {magic}, "
+                         f"expected {IDX_IMAGES_MAGIC}")
     if count < 1 or rows < 1 or cols < 1:
-        raise ValueError(f"degenerate idx dimensions {count}x{rows}x{cols}")
+        raise ValueError(f"{images_path}: degenerate idx dimensions "
+                         f"{count}x{rows}x{cols}")
     size = count * rows * cols
     if len(raw) - _IDX_HEADER.size < size:
-        raise ValueError("truncated idx image payload")
+        raise ValueError(f"{images_path}: truncated idx image payload")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=size,
                            offset=_IDX_HEADER.size)
     images = scale_pixels(pixels.reshape(count, rows * cols))

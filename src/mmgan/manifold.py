@@ -19,7 +19,6 @@ __all__ = [
     "SphereManifold",
     "centroid",
     "radius",
-    "estimate",
     "ManifoldTracker",
     "tracker_update",
 ]
@@ -46,10 +45,6 @@ class SphereManifold:
         if self.radius < 0.0:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
 
-    @property
-    def dim(self) -> int:
-        return self.centroid.shape[0]
-
 
 def _as_points(points: Tensor) -> Tensor:
     if points.value.ndim != 2:
@@ -73,11 +68,6 @@ def radius(points, c):
         raise ValueError(f"centroid shape {c.shape} does not match points {pts.shape}")
     diff = pts - c
     return (diff * diff).sum(axis=1).sqrt().mean()
-
-
-def estimate(points) -> SphereManifold:
-    c = centroid(points)
-    return SphereManifold(c, radius(points, c))
 
 
 class ManifoldTracker:

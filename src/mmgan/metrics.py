@@ -1,4 +1,6 @@
-"""Mode coverage and manifold-gap measurements for generated samples."""
+"""Mode coverage of generated samples, and `manifold_gap`, the reference
+sphere gaps acceptance criterion 4 judges by. The program never calls it:
+it measures the gaps through `loss.generator_terms`."""
 
 from __future__ import annotations
 
@@ -62,7 +64,8 @@ def mode_coverage(samples, centers, sigma: float) -> tuple:
 
 def manifold_gap(m_real: SphereManifold, m_fake: SphereManifold) -> tuple:
     """(centroid gap, radius gap) between two fitted spheres."""
-    if m_real.dim != m_fake.dim:
-        raise ValueError(f"dimension mismatch: {m_real.dim} vs {m_fake.dim}")
+    if m_real.centroid.shape != m_fake.centroid.shape:
+        raise ValueError(f"dimension mismatch: {m_real.centroid.shape} vs "
+                         f"{m_fake.centroid.shape}")
     return (float(np.linalg.norm(m_real.centroid - m_fake.centroid)),
             abs(m_real.radius - m_fake.radius))

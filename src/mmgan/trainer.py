@@ -17,8 +17,9 @@ Each step runs, in this exact order:
      pre-update fake tracker with the current mini-batch statistic,
   5. on report steps only (every eval_interval steps and the last), the
      step's LossReport: the matcher reads the terms step 4 descended;
-     the baseline, which never optimizes them, measures them from both
-     batches' features of step 2 (step 4 leaves D unchanged).
+     the baseline, which never optimizes them, reads the plain sphere
+     gaps of `generator_terms` over both batches' features of step 2 (step 4
+     leaves D unchanged).
 
 Every step checks loss_d and loss_g for finiteness, and a report step
 every field of its report; the matcher's terms are non-negative, so a
@@ -70,8 +71,8 @@ from mmgan.loss import (
     l_g_baseline,
     rg_score,
 )
-from mmgan.manifold import ManifoldTracker, estimate, tracker_update
-from mmgan.metrics import MetricsRow, manifold_gap, mode_coverage
+from mmgan.manifold import ManifoldTracker, tracker_update
+from mmgan.metrics import MetricsRow, mode_coverage
 from mmgan.neural import (
     Layer,
     Network,
@@ -99,6 +100,8 @@ _EVAL_STREAM_TAG = 59297
 # ramped up as min(G_AVERAGE_DECAY, (1 + t) / (10 + t)) so that short runs
 # are not dominated by the initial weights.
 G_AVERAGE_DECAY = 0.998
+# the plain sphere gaps that the baseline's report and every evaluation read
+_PLAIN = LossConfig(beta=0.0)
 
 
 @dataclass
@@ -180,19 +183,17 @@ def _require_finite(**values) -> None:
 
 
 def _report(step: int, loss_d: float, loss_g: float, terms,
-            feat_real: np.ndarray, feat_fake: Tensor) -> LossReport:
+            real: Tensor, feat_fake: Tensor) -> LossReport:
     """The step's LossReport from what g_step returned, every field checked
-    finite. The baseline's matching terms (terms None) are the plain
-    sphere gaps of the two batches' features, measured for observability."""
-    fv = feat_fake.value
+    finite. The baseline (terms None) reads the _PLAIN terms of the two
+    batches' features instead: the sphere gaps, measured for observability."""
     if terms is None:
-        cg, rgap = manifold_gap(estimate(feat_real), estimate(fv))
-        rg = rg_score(fv)
-    else:
-        cg, rgap = terms.manifold.item(), terms.radius.item()
-        rg = rg_score(fv) if terms.rg_fake is None else terms.rg_fake.item()
+        terms = generator_terms(_PLAIN, real, feat_fake)
+    rg = (rg_score(feat_fake.value) if terms.rg_fake is None
+          else terms.rg_fake.item())
     report = LossReport(step=step, loss_g=loss_g, loss_d=loss_d,
-                        manifold_term=cg, radius_term=rgap, r_g=rg)
+                        manifold_term=terms.manifold.item(),
+                        radius_term=terms.radius.item(), r_g=rg)
     _require_finite(**vars(report))
     return report
 
@@ -218,8 +219,8 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
     averaged generator; the result's history holds those steps' reports.
 
     Raises NumericalError tagged with the step index if any loss term,
-    activation, or gradient goes non-finite, and ValueError tagged so if
-    a kernel is not positive semidefinite on the features.
+    activation, gradient or evaluation field goes non-finite, and ValueError
+    tagged so if a kernel is not positive semidefinite on the features.
     """
     ss = np.random.SeedSequence(cfg.seed)
     ss_data, ss_latent, ss_g, ss_d = ss.spawn(4)
@@ -253,11 +254,10 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
                 x = sample_batch(data, cfg.batch, rng_data)
                 z = rng_latent.standard_normal((cfg.batch, cfg.latent_dim))
                 loss_d, fake = d_step(g_net, d_net, opt_d, x, z)
-            # the updated discriminator's one pass over each batch it reads
-            feat_real = (d_net.forward_values(x)[1]
-                         if lc is not None or reporting else None)
-            # the matcher's trackers and objective share one real node
-            real = None if lc is None else constant(feat_real)
+            # the updated discriminator's one pass over each batch it reads;
+            # the trackers, the objective and the report share the real node
+            real = (constant(d_net.forward_values(x)[1])
+                    if lc is not None or reporting else None)
             out_fake, feat_fake = d_const.forward(fake)
             stats = None if lc is None else update_trackers(
                 lc.kernel, real, feat_fake, real_tracker, fake_tracker)
@@ -265,17 +265,14 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
             _fold_average(g_avg, g_net, step)
             _require_finite(loss_g=loss_g, loss_d=loss_d)
             if reporting:
-                report = _report(step, loss_d, loss_g, terms, feat_real,
-                                 feat_fake)
+                history.append(_report(step, loss_d, loss_g, terms, real,
+                                       feat_fake))
+                if on_eval is not None:
+                    on_eval(step, g_avg, history[-1])
         except NumericalError as e:
             raise NumericalError(f"{e} (step {step})") from e
         except ValueError as e:  # the kernel trick's PSD guard
             raise ValueError(f"{e} (step {step})") from e
-
-        if reporting:
-            history.append(report)
-            if on_eval is not None:
-                on_eval(step, g_avg, report)
 
     return TrainResult(g_avg, d_net, history, real_tracker, fake_tracker)
 
@@ -297,21 +294,23 @@ def draw_eval_batch(generator: Network, data: DatasetHandle, n_samples: int,
 
 def score_samples(fake: np.ndarray, real: np.ndarray, data: DatasetHandle, *,
                   step: int = 0) -> MetricsRow:
-    """Score one generated batch against a real one.
+    """Score one generated batch against a real one, fields checked finite.
 
     Mode metrics are zero for datasets without mode centers (images), and
     r_g is zero for those with them: on two columns every centred row is
     +-(1, -1)/sqrt(2), so r_g is the constant sqrt(n^2 - n) whatever the
-    samples. The sphere gaps are measured in sample space and always
-    present.
+    samples. The sphere gaps are the _PLAIN terms of the two batches in
+    sample space, as the plain objective computes them, and always present.
     """
-    cg, rgap = manifold_gap(estimate(real), estimate(fake))
+    terms = generator_terms(_PLAIN, constant(real), constant(fake))
     if data.mode_centers is not None:
         modes, hq = mode_coverage(fake, data.mode_centers, data.mode_sigma)
         frac, rg = modes / len(data.mode_centers), 0.0
     else:
         modes, hq, frac, rg = 0, 0.0, 0.0, r_g(fake)
-    return MetricsRow(step=step, modes_covered=modes, coverage_fraction=frac,
-                      hq_fraction=hq, centroid_gap=cg, radius_gap=rgap,
-                      r_g_value=rg)
+    row = MetricsRow(step=step, modes_covered=modes, coverage_fraction=frac,
+                     hq_fraction=hq, centroid_gap=terms.manifold.item(),
+                     radius_gap=terms.radius.item(), r_g_value=rg)
+    _require_finite(**vars(row))
+    return row
 

@@ -19,7 +19,7 @@ from mmgan.config import (KERNEL_CHOICES, RunConfig, manifest_text,
                           parse_config_text)
 from mmgan.neural import ACTIVATIONS
 from mmgan.trainer import draw_eval_batch, score_samples
-from mmgan.persist import load_network
+from mmgan.persist import load_network, save_network
 
 
 FAST = ["--dataset", "ring8", "--steps", "60", "--batch", "16",
@@ -305,6 +305,19 @@ def test_train_numerical_abort(tmp_path, capsys):
     assert (out / "manifest.txt").exists()
 
 
+def test_train_eval_overflow_names_field_and_step(tmp_path):
+    # lr_g 1e10 leaves the step-2 samples finite but not their squares, so
+    # the evaluation's sphere gaps overflow
+    out = tmp_path / "run"
+    code, _, err = _main_quietly(["train", "--dataset", "grid25", "--kernel",
+                                  "linear", "--lr-g", "1e10", "--steps", "2",
+                                  "--out", str(out)])
+    assert code == 3 and "Traceback" not in err
+    assert err == "numerical abort: non-finite centroid_gap (step 2)\n"
+    # the aborted evaluation wrote no row
+    assert (out / "metrics.csv").read_text() == HEADER + "\n"
+
+
 def _hot_config(tmp_path):
     cfg = tmp_path / "hot.cfg"
     cfg.write_text("lr_g = 1000000.0\n")
@@ -452,6 +465,18 @@ def test_eval_missing_idx_file_exits_1(tmp_path, monkeypatch):
     assert err.startswith("error:") and "mini.idx" in err
 
 
+def test_eval_bad_idx_magic_names_the_file(tmp_path, monkeypatch):
+    out = _idx_run(tmp_path, monkeypatch)
+    images = tmp_path / "mini.idx"
+    raw = bytearray(images.read_bytes())
+    struct.pack_into(">I", raw, 0, 2049)  # the IDX label-file magic
+    images.write_bytes(bytes(raw))
+    code, text, err = _main_quietly(["eval", "--out", str(out)])
+    assert code == 1 and text == "" and "Traceback" not in err
+    assert err.startswith("error:")
+    assert "mini.idx: bad images magic 2049" in err
+
+
 @pytest.mark.parametrize("dims", [(0xFFFFFFFF,) * 3, (100_000_000, 28, 28)],
                          ids=["u32-max", "100M-images"])
 def test_train_rejects_oversized_idx_header(tmp_path, dims):
@@ -461,7 +486,7 @@ def test_train_rejects_oversized_idx_header(tmp_path, dims):
     code, _, err = _main_quietly(["train", "--dataset", "idx", "--idx-images",
                                   str(p), "--out", str(out)])
     assert code == 1 and "Traceback" not in err
-    assert "truncated idx image payload" in err
+    assert f"{p}: truncated idx image payload" in err
     assert not out.exists()
 
 
@@ -758,6 +783,19 @@ def test_eval_overflowing_weights_exit_3(finished_run, tmp_path):
     code, out, err = _eval_copy(finished_run, str(tmp_path), params=params)
     assert code == 3 and out == "" and "Traceback" not in err
     assert err == "numerical abort: non-finite activation in g.layer0\n"
+
+
+def test_eval_overflowing_samples_exit_3(finished_run, tmp_path):
+    # G's last layer scaled by 1e200: the samples stay finite, and their
+    # squares overflow in the sphere gaps
+    net = load_network(finished_run / "generator.bin")
+    for p in (net.layers[-1].weight, net.layers[-1].bias):
+        p.value *= 1e200
+    save_network(net, tmp_path / "scaled.bin")
+    code, out, err = _eval_copy(finished_run, str(tmp_path),
+                                params=(tmp_path / "scaled.bin").read_bytes())
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err == "numerical abort: non-finite centroid_gap\n"
 
 
 _SPECIAL_FLOATS = st.sampled_from([np.nan, np.inf, -np.inf, 1e308, -1e308,

@@ -8,13 +8,18 @@ from mmgan.manifold import (
     ManifoldTracker,
     SphereManifold,
     centroid,
-    estimate,
     radius,
     tracker_update,
 )
 from oracles import brute_centroid, brute_mean_distance
 
 SQUARE = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
+
+
+def fit(points) -> SphereManifold:
+    """The sphere of a point cloud: its centroid and the mean distance to it."""
+    c = centroid(points)
+    return SphereManifold(c, radius(points, c))
 
 
 def test_centroid_of_square():
@@ -56,11 +61,11 @@ def test_centroid_minimizes_sum_squared_distance():
             assert cand >= best - 1e-9
 
 
-def test_estimate_bundles_both():
-    m = estimate(SQUARE)
+def test_sphere_manifold_bundles_both():
+    m = fit(SQUARE)
     np.testing.assert_allclose(m.centroid, [1.0, 1.0])
     assert m.radius == pytest.approx(np.sqrt(2.0))
-    assert m.dim == 2
+    assert m.centroid.shape == (2,)
 
 
 def test_input_validation():
@@ -140,7 +145,7 @@ points_strategy = hnp.arrays(
 @settings(deadline=None, max_examples=60)
 @given(points_strategy)
 def test_radius_nonnegative_and_zero_iff_identical(pts):
-    m = estimate(pts)
+    m = fit(pts)
     assert m.radius >= 0.0
     if np.ptp(pts, axis=0).max(initial=0.0) == 0.0:
         assert m.radius == pytest.approx(0.0, abs=1e-12)
@@ -150,8 +155,8 @@ def test_radius_nonnegative_and_zero_iff_identical(pts):
 @given(points_strategy, st.floats(-5, 5), st.floats(-5, 5))
 def test_translation_equivariance(pts, tx, ty):
     shift = np.resize(np.array([tx, ty]), pts.shape[1])
-    a = estimate(pts)
-    b = estimate(pts + shift)
+    a = fit(pts)
+    b = fit(pts + shift)
     np.testing.assert_allclose(b.centroid, a.centroid + shift, atol=1e-9)
     assert b.radius == pytest.approx(a.radius, abs=1e-9)
 
@@ -159,8 +164,8 @@ def test_translation_equivariance(pts, tx, ty):
 @settings(deadline=None, max_examples=60)
 @given(points_strategy, st.floats(0.1, 7.0))
 def test_radius_scales_linearly(pts, k):
-    a = estimate(pts)
-    b = estimate(pts * k)
+    a = fit(pts)
+    b = fit(pts * k)
     assert b.radius == pytest.approx(k * a.radius, rel=1e-9, abs=1e-9)
 
 
@@ -169,6 +174,6 @@ def test_radius_rotation_invariant():
     pts = rng.normal(size=(9, 2))
     th = 0.7
     rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    a = estimate(pts)
-    b = estimate(pts @ rot.T)
+    a = fit(pts)
+    b = fit(pts @ rot.T)
     assert b.radius == pytest.approx(a.radius, rel=1e-12)

@@ -240,7 +240,7 @@ ARMS = {"rbf": dict(kernel="rbf", beta=1.0),
      dict(r_g=1), [10, 21], (36, 39)),
     (ARMS["baseline"],
      dict(forward=4, forward_values=0, mean_gram=0, kernel_radius=0, r_g=0),
-     dict(forward=1, forward_values=1, r_g=1), [10, 9], (14, 42)),
+     dict(forward=1, forward_values=1, r_g=1), [10, 9], (14, 45)),
 ], ids=list(ARMS))
 def test_work_per_step(monkeypatch, keys, per_step, report_extra,
                        backward_nodes, tensors):
