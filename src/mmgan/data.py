@@ -124,7 +124,7 @@ def load_idx(images_path) -> DatasetHandle:
     try:
         with _open_maybe_gz(images_path) as f:
             raw = f.read()
-    except (EOFError, zlib.error) as e:  # a truncated or corrupt .gz
+    except (EOFError, zlib.error, gzip.BadGzipFile) as e:  # a damaged .gz
         raise ValueError(f"damaged gzip data in {images_path}: {e}") from e
     if len(raw) < _IDX_HEADER.size:
         raise ValueError(f"{images_path}: truncated idx header")

@@ -75,8 +75,9 @@ def _build(seed: int) -> tuple:
     for _ in range(_MAX_DRAWS):
         z = rng.standard_normal((_BATCH, 2))
         x = rng.standard_normal((_BATCH, 2))
-        feat_fake = d_net.forward_values(g_net.forward_values(z)[0])[1]
-        if rg_score(feat_fake) > rg_score(d_net.forward_values(x)[1]):
+        fake = constant(d_net.forward_values(g_net.forward_values(z)[0])[1])
+        real = constant(d_net.forward_values(x)[1])
+        if rg_score(fake).item() > rg_score(real).item():
             return g_net, d_net, z, x
     raise ValueError(f"seed {seed}: no batches with an active correlation "
                      f"penalty in {_MAX_DRAWS} draws")

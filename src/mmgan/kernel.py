@@ -1,7 +1,6 @@
 """Kernel functions and the kernel trick for feature-space geometry.
 
-Each formula is written once, in Tensor ops: Tensors in give graph
-nodes, numpy arrays in give floats (`neural.accepts_arrays`).
+Each formula is written once, in Tensor ops: graph nodes in, nodes out.
 
 Feature-space geometry is computed without ever materializing the feature
 map. The centroid of a mapped batch is its mean embedding
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmgan.neural import accepts_arrays, constant, node
+from mmgan.neural import constant, node
 
 __all__ = [
     "KERNEL_KINDS",
@@ -65,7 +64,6 @@ def _batch(x):
     return x
 
 
-@accepts_arrays
 def mean_gram(spec: KernelSpec, a, b):
     """<mu_a, mu_b> = mean of K(a_i, b_j) over every row pair of an (n, d)
     and an (m, d) batch.
@@ -130,7 +128,6 @@ def _psd_checked(v, scale: float):
     return v.clamp_min(0.0)
 
 
-@accepts_arrays
 def feature_sq_dist(spec: KernelSpec, a, b, gram_a=None, gram_b=None):
     """||mu_a - mu_b||^2 between the feature-space centroids of a and b.
     Non-negative.
@@ -152,7 +149,6 @@ def feature_sq_dist(spec: KernelSpec, a, b, gram_a=None, gram_b=None):
     return _psd_checked(v, float(kaa.value) + float(kbb.value))
 
 
-@accepts_arrays
 def kernel_radius(spec: KernelSpec, points, gram=None):
     """Mean squared feature-space distance from the mapped points to their
     own centroid, the mean embedding mu: mean_i K(s_i, s_i) - <mu, mu>.

@@ -1,5 +1,4 @@
-"""Generator and discriminator objectives, each written once in Tensor ops;
-`l_orig`, `l_g_baseline` and `rg_score` also take numpy arrays, floats out.
+"""Generator and discriminator objectives, each written once in Tensor ops.
 
 `batch_stats` alone decides which statistics of a batch each geometry
 compares. Two radius conventions coexist and must never be mixed: the
@@ -38,7 +37,7 @@ import numpy as np
 
 from mmgan.kernel import KernelSpec, feature_sq_dist, kernel_radius, mean_gram
 from mmgan.manifold import centroid, radius
-from mmgan.neural import accepts_arrays, node
+from mmgan.neural import node
 from mmgan.regularizer import r_g
 
 __all__ = [
@@ -110,7 +109,6 @@ def _check_probabilities(**named) -> None:
             raise ValueError(f"{name} must hold probabilities in [0, 1]")
 
 
-@accepts_arrays
 def l_orig(d_real, d_fake):
     """mean log D(real) + mean log(1 - D(fake)), probabilities clamped to
     [1e-7, 1 - 1e-7] so the logs stay finite.
@@ -142,7 +140,6 @@ def l_d_final(d_real, d_fake):
     return -l_orig(d_real, d_fake)
 
 
-@accepts_arrays
 def l_g_baseline(d_fake):
     """The baseline generator's non-saturating objective, -mean log
     D(fake), probabilities clamped as in l_orig: it pushes D(G(z)) toward 1.
@@ -181,7 +178,6 @@ def batch_stats(spec: KernelSpec | None, reps) -> tuple:
     return None, kernel_radius(spec, reps, gram), gram
 
 
-@accepts_arrays
 def rg_score(reps):
     """r_g scaled by its ceiling sqrt(n^2 - n): near 1 for a collapsed
     batch, 0 for decorrelated rows."""
@@ -206,7 +202,8 @@ def rg_penalty(score_real, score_fake):
 
 def generator_terms(cfg: LossConfig, reps_real, reps_fake,
                     real=None, fake=None) -> GeneratorTerms:
-    """The decomposed generator objective over two batches' Tensors.
+    """The decomposed generator objective over two batches' Tensors, the
+    real one a constant.
 
     real and fake are each a batch's (centroid, radius, mean_gram) triple
     in the form `batch_stats` returns; None means that batch's own
@@ -233,7 +230,7 @@ def generator_terms(cfg: LossConfig, reps_real, reps_fake,
     rg = rg_fake = None
     if cfg.beta > 0.0:
         rg_fake = rg_score(reps_fake)
-        rg = rg_penalty(rg_score(reps_real.value), rg_fake)
+        rg = rg_penalty(rg_score(reps_real), rg_fake)
         total = total + cfg.beta * rg
     return GeneratorTerms(manifold=manifold, radius=radius, rg=rg,
                           rg_fake=rg_fake, total=total)

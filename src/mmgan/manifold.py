@@ -4,7 +4,7 @@ A batch of representations is summarized by the sphere through its centroid
 with radius equal to the mean distance from the centroid to the points. Two
 distributions are considered matched when both the centroid gap and the
 radius gap vanish. `centroid` and `radius` are the one formula of both, in
-Tensor ops: arrays in give floats out, graph nodes in give nodes.
+Tensor ops: graph nodes in, nodes out.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmgan.neural import NumericalError, Tensor, accepts_arrays
+from mmgan.neural import NumericalError, Tensor
 
 __all__ = [
     "SphereManifold",
@@ -54,13 +54,11 @@ def _as_points(points: Tensor) -> Tensor:
     return points
 
 
-@accepts_arrays
 def centroid(points):
     """Mean point. Shape (d,)."""
     return _as_points(points).mean(axis=0)
 
 
-@accepts_arrays
 def radius(points, c):
     """Mean euclidean distance from c to the points (not RMS, not max)."""
     pts = _as_points(points)

@@ -1,16 +1,17 @@
 """Reverse-mode autodiff on float64 numpy arrays, plus plain MLPs.
 
-Every differentiable quantity in this package is a `Tensor`: a value array
-together with the recipe (parents + vector-Jacobian product) needed to push
-gradients backward. Graphs are built implicitly by arithmetic and consumed
-once by `backward`. Every Tensor is numbered when it is made, and a node
-is always made after its parents, so creation order is a topological
-order: `backward` walks the reachable nodes newest first, with no search
-for an order (a Wengert tape). Gradients are accumulated in a dict keyed
-by node, never stored on the nodes themselves, so parameter tensors can
-live across many steps without any zero_grad bookkeeping. Values that are
-never differentiated run the same ops inside `no_grad()`, which records
-no recipe.
+Every kernel, sphere, loss and penalty formula in this package takes and
+returns `Tensor`s, arrays entering as `constant` leaves. A Tensor is a
+value array with the recipe (parents + vector-Jacobian product) that
+pushes gradients backward. Graphs are built implicitly by arithmetic and
+consumed once by `backward`. Every Tensor is numbered when it is made,
+and a node is always made after its parents, so creation order is a
+topological order: `backward` walks the reachable nodes newest first,
+with no search for an order (a Wengert tape). Gradients are accumulated
+in a dict keyed by node, never stored on the nodes themselves, so
+parameter tensors can live across many steps without any zero_grad
+bookkeeping. Values that are never differentiated run the same ops inside
+`no_grad()`, which records no recipe.
 
 Some ops are single nodes with a hand-written vector-Jacobian product
 instead of a chain of small ops: a network layer (affine map plus
@@ -23,7 +24,6 @@ their formulas give in composed ops.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 from contextlib import contextmanager
 from operator import attrgetter
@@ -35,7 +35,6 @@ __all__ = [
     "Tensor",
     "node",
     "no_grad",
-    "accepts_arrays",
     "constant",
     "parameter",
     "topo_order",
@@ -243,33 +242,6 @@ def parameter(value) -> Tensor:
     if not np.isfinite(t.value).all():
         raise NumericalError("parameter initialized with non-finite values")
     return t
-
-
-def _lift(x):
-    return constant(x) if isinstance(x, (np.ndarray, list)) else x
-
-
-def _plain(x):
-    """Tensor -> float (scalar) or array."""
-    if isinstance(x, Tensor):
-        return float(x.value) if x.value.ndim == 0 else x.value
-    return x
-
-
-def accepts_arrays(fn):
-    """Let a function written in Tensor ops also take numpy arrays.
-
-    Array (and list) arguments enter as constants, so they record no
-    graph. If any argument is a Tensor, the result is the graph node(s);
-    otherwise it comes back as plain values: arrays in, floats out.
-    """
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        graph = any(isinstance(x, Tensor) for x in (*args, *kwargs.values()))
-        out = fn(*[_lift(x) for x in args],
-                 **{k: _lift(x) for k, x in kwargs.items()})
-        return out if graph else _plain(out)
-    return wrapper
 
 
 def topo_order(root: Tensor) -> list:

@@ -26,20 +26,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from mmgan.neural import accepts_arrays, node
+from mmgan.neural import node
 
 __all__ = ["r_g", "EPS"]
 
 EPS = 1e-8
 
 
-@accepts_arrays
 def r_g(reps, eps: float = EPS):
-    """||I - A||_F with A the (smoothed) row-correlation matrix of reps.
-
-    A Tensor in gives a differentiable Tensor out, an array in gives a
-    float.
-    """
+    """||I - A||_F with A the (smoothed) row-correlation matrix of reps,
+    a Tensor."""
     v = reps.value
     if v.ndim != 2 or v.shape[0] < 2 or v.shape[1] < 2:
         raise ValueError(f"need at least 2 rows and 2 columns, got {v.shape}")

@@ -189,8 +189,7 @@ def _report(step: int, loss_d: float, loss_g: float, terms,
     batches' features instead: the sphere gaps, measured for observability."""
     if terms is None:
         terms = generator_terms(_PLAIN, real, feat_fake)
-    rg = (rg_score(feat_fake.value) if terms.rg_fake is None
-          else terms.rg_fake.item())
+    rg = (rg_score(feat_fake) if terms.rg_fake is None else terms.rg_fake).item()
     report = LossReport(step=step, loss_g=loss_g, loss_d=loss_d,
                         manifold_term=terms.manifold.item(),
                         radius_term=terms.radius.item(), r_g=rg)
@@ -307,7 +306,7 @@ def score_samples(fake: np.ndarray, real: np.ndarray, data: DatasetHandle, *,
         modes, hq = mode_coverage(fake, data.mode_centers, data.mode_sigma)
         frac, rg = modes / len(data.mode_centers), 0.0
     else:
-        modes, hq, frac, rg = 0, 0.0, 0.0, r_g(fake)
+        modes, hq, frac, rg = 0, 0.0, 0.0, r_g(constant(fake)).item()
     row = MetricsRow(step=step, modes_covered=modes, coverage_fraction=frac,
                      hq_fraction=hq, centroid_gap=terms.manifold.item(),
                      radius_gap=terms.radius.item(), r_g_value=rg)

@@ -16,6 +16,7 @@ from mmgan.cli import main as cli_main
 from mmgan.kernel import KernelSpec, feature_sq_dist
 from mmgan.manifold import ManifoldTracker, SphereManifold, centroid, radius
 from mmgan.metrics import manifold_gap
+from mmgan.neural import constant
 from mmgan.gradcheck import TOLERANCE, run_suite, variant_names
 from mmgan.persist import load_network, save_network
 from mmgan.regularizer import r_g
@@ -49,10 +50,10 @@ def test_criterion_2_kernel_trick_equivalence():
         a = rng.standard_normal(8) * rng.uniform(0.1, 10.0)
         b = rng.standard_normal(8) * rng.uniform(0.1, 10.0)
         sq = float(((a - b) ** 2).sum())
-        assert abs(feature_sq_dist(linear, a, b) - sq) <= 1e-10
+        assert abs(feature_sq_dist(linear, constant(a), constant(b)).item() - sq) <= 1e-10
         gamma = rbf.resolve_gamma(8)
         expect = 2.0 - 2.0 * np.exp(-gamma * sq)
-        assert abs(feature_sq_dist(rbf, a, b) - expect) <= 1e-12
+        assert abs(feature_sq_dist(rbf, constant(a), constant(b)).item() - expect) <= 1e-12
     assert time.monotonic() - t0 < 1.0
 
 
@@ -61,8 +62,8 @@ def test_criterion_3_sphere_statistics_optimality():
     rng = np.random.default_rng(11)
     for _ in range(50):
         pts = rng.uniform(-3.0, 3.0, size=(5, 2))
-        c = centroid(pts)
-        r = radius(pts, c)
+        c = centroid(constant(pts)).value
+        r = radius(constant(pts), constant(c)).item()
 
         def spread(cand):
             return float(((pts - cand) ** 2).sum())
@@ -103,13 +104,13 @@ def test_criterion_5_decorrelation_penalty_direction():
     rng = np.random.default_rng(5)
     reps = rng.standard_normal((8, 16))
     reps[6] = reps[2]
-    assert r_g(reps) > 0.0
+    assert r_g(constant(reps)).item() > 0.0
 
     h = np.array([[1.0]])
     while h.shape[0] < 16:
         h = np.block([[h, h], [h, -h]])
     decorrelated = h[1:9]
-    assert r_g(decorrelated) < 1e-8
+    assert r_g(constant(decorrelated)).item() < 1e-8
 
 
 RING8_STEPS = 20000

@@ -7,6 +7,7 @@ import io
 import os
 import struct
 import tempfile
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -389,6 +390,18 @@ def test_gradcheck_fault_injection(capsys):
     assert "plain" in captured.err
 
 
+def test_gradcheck_overflow_fails_its_rows_without_warnings():
+    # gamma 1e308 overflows the rbf kernel: the rows fail, as NaN, and
+    # numpy's per-op warnings stay out of the report
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _main_quietly(["gradcheck", "--kernel", "rbf",
+                                        "--gamma", "1e308"])
+    assert code == 4 and caught == []
+    assert [line.split()[-1] for line in out.splitlines()] == ["FAIL", "FAIL"]
+    assert err == "gradcheck failed: rbf, rbf+rg\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["gradcheck", "--alpha", "-1"], ["gradcheck", "--beta", "-1"],
     ["gradcheck", "--gamma", "-1"], ["gradcheck", "--seed", "-1"],
@@ -492,13 +505,16 @@ def test_train_rejects_oversized_idx_header(tmp_path, dims):
 
 def _damage_gz(path, damage):
     """Gzip the IDX file at path in place, then truncate its stream or
-    corrupt its deflate data (block type 3, which deflate reserves)."""
+    corrupt its deflate data (block type 3, which deflate reserves); or
+    leave it uncompressed, a .gz name on no gzip data at all."""
+    if damage == "not-gzip":
+        return
     gz = gzip.compress(path.read_bytes(), mtime=0)
     path.write_bytes(gz[:len(gz) // 2] if damage == "truncated"
                      else gz[:10] + b"\xff" + gz[11:])
 
 
-@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+@pytest.mark.parametrize("damage", ["truncated", "corrupt", "not-gzip"])
 def test_train_damaged_gz_idx_exits_1(tmp_path, damage):
     p = tmp_path / "mini.idx.gz"
     _write_idx(p)
@@ -511,7 +527,7 @@ def test_train_damaged_gz_idx_exits_1(tmp_path, damage):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+@pytest.mark.parametrize("damage", ["truncated", "corrupt", "not-gzip"])
 def test_eval_damaged_gz_idx_exits_1(tmp_path, monkeypatch, damage):
     # the run trains on an intact file, which is damaged afterwards
     p = tmp_path / "mini.idx.gz"

@@ -55,7 +55,8 @@ def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         kernel_eval(KernelSpec("linear"), np.zeros(2), np.zeros(3))
     with pytest.raises(ValueError):
-        mean_gram(KernelSpec("linear"), np.zeros((4, 2)), np.zeros((3, 3)))
+        mean_gram(KernelSpec("linear"), constant(np.zeros((4, 2))),
+                  constant(np.zeros((3, 3))))
 
 
 def test_linear_sq_dist_identity():
@@ -63,7 +64,7 @@ def test_linear_sq_dist_identity():
     rng = np.random.default_rng(0)
     for _ in range(20):
         a, b = rng.normal(size=4), rng.normal(size=4)
-        got = feature_sq_dist(KernelSpec("linear"), a, b)
+        got = feature_sq_dist(KernelSpec("linear"), constant(a), constant(b)).item()
         assert got == pytest.approx(np.sum((a - b) ** 2), rel=1e-12, abs=1e-12)
 
 
@@ -73,7 +74,8 @@ def test_rbf_sq_dist_identity():
     for _ in range(20):
         a, b = rng.normal(size=3), rng.normal(size=3)
         want = 2.0 - 2.0 * np.exp(-0.7 * np.sum((a - b) ** 2))
-        assert feature_sq_dist(spec, a, b) == pytest.approx(want, rel=1e-12)
+        got = feature_sq_dist(spec, constant(a), constant(b)).item()
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_kernel_radius_linear_equals_mean_squared_distance():
@@ -86,7 +88,8 @@ def test_kernel_radius_linear_equals_mean_squared_distance():
     for row in pts:
         brute += np.sum((row - c) ** 2)
     brute /= len(pts)
-    assert kernel_radius(KernelSpec("linear"), pts) == pytest.approx(brute, rel=1e-12)
+    got = kernel_radius(KernelSpec("linear"), constant(pts)).item()
+    assert got == pytest.approx(brute, rel=1e-12)
 
 
 def test_kernel_radius_rbf_closed_form():
@@ -102,25 +105,28 @@ def test_kernel_radius_rbf_closed_form():
     mu_sq = np.mean([[k(p, q) for q in pts] for p in pts])
     want = np.mean([1.0 - 2.0 * np.mean([k(p, q) for q in pts]) + mu_sq
                     for p in pts])
-    assert kernel_radius(spec, pts) == pytest.approx(want, rel=1e-12)
+    got = kernel_radius(spec, constant(pts)).item()
+    assert got == pytest.approx(want, rel=1e-12)
     # mu minimizes the mean squared feature distance, so the spread about
     # phi(plain centroid) can only be larger
     c = pts.mean(axis=0)
     about_phi_c = np.mean([2.0 - 2.0 * k(p, c) for p in pts])
-    assert kernel_radius(spec, pts) < about_phi_c
+    assert got < about_phi_c
 
 
 def test_batch_eval_matches_loop():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(7, 3))
+    other = pts[:4] + 0.5
+    p_node, o_node = constant(pts), constant(other)
     for spec in ALL_SPECS:
         # the radius's self term mean_i K(p_i, p_i), read off radius + <mu, mu>
-        diag = kernel_radius(spec, pts) + mean_gram(spec, pts, pts)
-        assert diag == pytest.approx(
+        diag = kernel_radius(spec, p_node) + mean_gram(spec, p_node, p_node)
+        assert diag.item() == pytest.approx(
             np.mean([kernel_eval(spec, p, p) for p in pts]), rel=1e-12)
-        other = pts[:4] + 0.5
         loop = np.mean([[kernel_eval(spec, p, q) for q in other] for p in pts])
-        assert mean_gram(spec, pts, other) == pytest.approx(loop, rel=1e-12)
+        assert (mean_gram(spec, p_node, o_node).item()
+                == pytest.approx(loop, rel=1e-12))
 
 
 @settings(deadline=None, max_examples=50)
@@ -132,9 +138,9 @@ def test_symmetry_and_nonnegativity(xs, ys, spec_i):
     a, b = np.array(xs[:n]), np.array(ys[:n])
     spec = ALL_SPECS[spec_i]
     assert kernel_eval(spec, a, b) == pytest.approx(kernel_eval(spec, b, a), rel=1e-12)
-    d = feature_sq_dist(spec, a, b)
-    assert d >= 0.0
-    assert feature_sq_dist(spec, a, a) == pytest.approx(0.0, abs=1e-12)
+    assert feature_sq_dist(spec, constant(a), constant(b)).item() >= 0.0
+    assert (feature_sq_dist(spec, constant(a), constant(a)).item()
+            == pytest.approx(0.0, abs=1e-12))
 
 
 def test_gram_matrices_are_psd():
@@ -151,31 +157,19 @@ def test_psd_violation_detected(monkeypatch):
     monkeypatch.setattr(kernel_mod, "mean_gram",
                         lambda spec, a, b: constant(0.0 if a is b else 1.0))
     with pytest.raises(ValueError, match="positive semidefinite"):
-        feature_sq_dist(KernelSpec("linear"), np.zeros(2), np.ones(2))
-
-
-def test_tensor_path_matches_numpy_path():
-    rng = np.random.default_rng(7)
-    pts = rng.normal(size=(6, 3))
-    a, b = rng.normal(size=3), rng.normal(size=3)
-    c = pts.mean(axis=0)
-    for spec in ALL_SPECS:
-        td = feature_sq_dist(spec, parameter(a), parameter(b))
-        assert td.item() == pytest.approx(feature_sq_dist(spec, a, b), rel=1e-12)
-        tr = kernel_radius(spec, parameter(pts))
-        assert tr.item() == pytest.approx(kernel_radius(spec, pts), rel=1e-12)
-        tm = feature_sq_dist(spec, parameter(pts), constant(c))
-        assert tm.item() == pytest.approx(feature_sq_dist(spec, pts, c), rel=1e-12)
+        feature_sq_dist(KernelSpec("linear"), constant(np.zeros(2)),
+                        constant(np.ones(2)))
 
 
 def test_prebuilt_gram_gives_the_same_bits():
     rng = np.random.default_rng(8)
-    pts, qts = rng.normal(size=(6, 3)), rng.normal(size=(5, 3))
+    pts, qts = constant(rng.normal(size=(6, 3))), constant(rng.normal(size=(5, 3)))
     for spec in ALL_SPECS:
-        gram = mean_gram(spec, constant(pts), constant(pts))
-        assert kernel_radius(spec, pts, gram).item() == kernel_radius(spec, pts)
+        gram = mean_gram(spec, pts, pts)
+        assert (kernel_radius(spec, pts, gram).item()
+                == kernel_radius(spec, pts).item())
         assert (feature_sq_dist(spec, pts, qts, gram).item()
-                == feature_sq_dist(spec, pts, qts))
+                == feature_sq_dist(spec, pts, qts).item())
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)

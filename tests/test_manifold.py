@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mmgan.neural import NumericalError
+from mmgan.neural import NumericalError, constant
 from mmgan.manifold import (
     ManifoldTracker,
     SphereManifold,
@@ -18,42 +18,45 @@ SQUARE = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
 
 def fit(points) -> SphereManifold:
     """The sphere of a point cloud: its centroid and the mean distance to it."""
-    c = centroid(points)
-    return SphereManifold(c, radius(points, c))
+    pts = constant(points)
+    c = centroid(pts)
+    return SphereManifold(c.value, radius(pts, c).item())
 
 
 def test_centroid_of_square():
-    np.testing.assert_allclose(centroid(SQUARE), [1.0, 1.0])
+    np.testing.assert_allclose(centroid(constant(SQUARE)).value, [1.0, 1.0])
 
 
 def test_radius_of_square_is_sqrt2():
     # all four corners sit at distance sqrt(2) from (1,1)
-    assert radius(SQUARE, [1.0, 1.0]) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    got = radius(constant(SQUARE), constant([1.0, 1.0])).item()
+    assert got == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_radius_is_mean_distance_not_rms():
-    pts = np.array([[0.0, 0.0], [4.0, 0.0]])
+    pts = constant([[0.0, 0.0], [4.0, 0.0]])
     c = centroid(pts)
-    np.testing.assert_allclose(c, [2.0, 0.0])
-    assert radius(pts, c) == pytest.approx(2.0)
+    np.testing.assert_allclose(c.value, [2.0, 0.0])
+    assert radius(pts, c).item() == pytest.approx(2.0)
     # a cloud with unequal distances: mean(1, 3) = 2, rms would be sqrt(5)
-    pts = np.array([[1.0, 0.0], [-1.0, 0.0], [3.0, 0.0], [-3.0, 0.0]])
-    assert radius(pts, [0.0, 0.0]) == pytest.approx(2.0)
+    pts = constant([[1.0, 0.0], [-1.0, 0.0], [3.0, 0.0], [-3.0, 0.0]])
+    assert radius(pts, constant([0.0, 0.0])).item() == pytest.approx(2.0)
 
 
 def test_against_brute_force_oracle():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(17, 5))
-    np.testing.assert_allclose(centroid(pts), brute_centroid(pts), rtol=1e-12)
-    c = centroid(pts)
-    assert radius(pts, c) == pytest.approx(brute_mean_distance(pts, c), rel=1e-12)
+    c = centroid(constant(pts))
+    np.testing.assert_allclose(c.value, brute_centroid(pts), rtol=1e-12)
+    assert (radius(constant(pts), c).item()
+            == pytest.approx(brute_mean_distance(pts, c.value), rel=1e-12))
 
 
 def test_centroid_minimizes_sum_squared_distance():
     # grid search over candidate centers: the mean must win
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(12, 2))
-    c = centroid(pts)
+    c = centroid(constant(pts)).value
     best = ((pts - c) ** 2).sum()
     for gx in np.linspace(-2, 2, 21):
         for gy in np.linspace(-2, 2, 21):
@@ -70,11 +73,11 @@ def test_sphere_manifold_bundles_both():
 
 def test_input_validation():
     with pytest.raises(ValueError, match="empty"):
-        centroid(np.zeros((0, 2)))
+        centroid(constant(np.zeros((0, 2))))
     with pytest.raises(ValueError):
-        centroid(np.zeros(3))
+        centroid(constant(np.zeros(3)))
     with pytest.raises(ValueError):
-        radius(SQUARE, np.zeros(3))
+        radius(constant(SQUARE), constant(np.zeros(3)))
     with pytest.raises(ValueError):
         SphereManifold(np.array([1.0]), -0.5)
     with pytest.raises(ValueError):

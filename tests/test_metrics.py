@@ -12,6 +12,7 @@ from mmgan.metrics import (
     manifold_gap,
     mode_coverage,
 )
+from mmgan.neural import constant
 from mmgan.trainer import score_samples
 
 
@@ -87,8 +88,9 @@ def test_manifold_gap_values():
 
 
 def _sphere(points) -> SphereManifold:
-    c = centroid(points)
-    return SphereManifold(c, radius(points, c))
+    pts = constant(points)
+    c = centroid(pts)
+    return SphereManifold(c.value, radius(pts, c).item())
 
 
 @st.composite

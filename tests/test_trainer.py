@@ -234,13 +234,13 @@ ARMS = {"rbf": dict(kernel="rbf", beta=1.0),
 @pytest.mark.parametrize("keys, per_step, report_extra, backward_nodes, tensors", [
     (ARMS["rbf"],
      dict(forward=5, forward_values=1, mean_gram=3, kernel_radius=2, r_g=2),
-     {}, [10, 27], (45, 45)),
+     {}, [10, 27], (44, 44)),
     (ARMS["rbf-beta0"],
      dict(forward=5, forward_values=1, mean_gram=3, kernel_radius=2, r_g=0),
-     dict(r_g=1), [10, 21], (36, 39)),
+     dict(r_g=1), [10, 21], (36, 38)),
     (ARMS["baseline"],
      dict(forward=4, forward_values=0, mean_gram=0, kernel_radius=0, r_g=0),
-     dict(forward=1, forward_values=1, r_g=1), [10, 9], (14, 45)),
+     dict(forward=1, forward_values=1, r_g=1), [10, 9], (14, 44)),
 ], ids=list(ARMS))
 def test_work_per_step(monkeypatch, keys, per_step, report_extra,
                        backward_nodes, tensors):
@@ -252,6 +252,7 @@ def test_work_per_step(monkeypatch, keys, per_step, report_extra,
     # parameter. Only a report step does what the report alone reads: the
     # baseline's pass of the updated D over the real batch and its
     # matching terms, and the fake rg_score of the baseline and of beta 0.
+    # Each rg_score reads its batch's node as given, lifting no constant.
     counts = dict.fromkeys(per_step, 0)
 
     def count(owner, name, key):
@@ -423,9 +424,12 @@ def test_shared_values_equal_a_fresh_value_pass(monkeypatch):
     mini_real, mini_fake = minis[-2:]
     feat_fake = d.forward_values(fake)[1]
     # the fake radius is the node the blend is built on, the real one a value
-    assert np.array_equal(mini_fake.value, kernel_radius(spec, feat_fake))
-    assert np.array_equal(mini_real, kernel_radius(spec, d.forward_values(x)[1]))
-    assert np.array_equal(res.history[-1].r_g, rg_score(feat_fake))
+    feat_real = constant(d.forward_values(x)[1])
+    assert np.array_equal(mini_fake.value,
+                          kernel_radius(spec, constant(feat_fake)).value)
+    assert np.array_equal(mini_real, kernel_radius(spec, feat_real).item())
+    assert np.array_equal(res.history[-1].r_g,
+                          rg_score(constant(feat_fake)).item())
 
 
 @pytest.mark.parametrize("keys", [dict(kernel="rbf"), dict(baseline=True)],
