@@ -3,19 +3,21 @@
 
     python3 scripts/bench.py LABEL
 
-Run from the repository root. Runs the benchmark twice, at seed 1 and 30
-seconds per workload as every BENCH file has: every workload untraced,
-for the end-to-end metrics, then ring8_matcher traced, for its
-deterministic work counters and its median ms per call of each phase.
+Run from the repository root. Runs the benchmark three times, at seed 1
+and 30 seconds per workload as every BENCH file has: every workload
+untraced, for the end-to-end metrics, then ring8_matcher traced, for its
+deterministic work counters and its median ms per call of each phase,
+then gradcheck traced, for its work counters over one suite.
 Then it times each arm of the ring8 protocol (`scripts/run_ring8.py`'s
 ARMS) once, each in a fresh process with BLAS threads capped at the
 usable cores as perfbench caps them: 1000 steps of `mmgan train` at
 batch 64, seed 1, one evaluation at the last step, called in process,
 over the wall time of that call.
 The file records the machine, the end-to-end result, the ring8 counters
-and phases and the arms' steps/s, with the commands that produced them and
-the commit they were measured on (`commit` is null, and `parent` names
-HEAD, when the working tree has uncommitted changes). `src_lines` is the
+and phases, the gradcheck counters and the arms' steps/s, with the
+commands that produced them and the commit they were measured on
+(`commit` is null, and `parent` names HEAD, when the working tree has
+uncommitted changes). `src_lines` is the
 size of the measured package: the line count of src/mmgan/*.py, as
 `cat src/mmgan/*.py | wc -l` prints it.
 """
@@ -31,6 +33,8 @@ COMMANDS = {
                   "--seconds 30 --trace 0",
     "counters": "python3 perfbench/run.py --workload ring8_matcher --seed 1 "
                 "--seconds 30 --trace 1",
+    "gradcheck_counters": "python3 perfbench/run.py --workload gradcheck "
+                          "--seed 1 --seconds 30 --trace 1",
 }
 # the traced ring8 metrics a BENCH file keeps
 COUNTERS = (
@@ -41,6 +45,12 @@ COUNTERS = (
     "neural.nodes_per_backward",
     "trace.untraced_steps_per_s",
     "trace.traced_steps_per_s",
+)
+# the traced gradcheck metrics a BENCH file keeps: calls over one suite
+GRADCHECK_COUNTERS = (
+    "regularizer.r_g.calls",
+    "neural.forward.calls",
+    "gradcheck.loss_evals",
 )
 # the traced ring8 run's time per phase of a step, and of evaluation with
 # its artifacts
@@ -92,12 +102,14 @@ def arm_rate(stdout: str) -> dict:
 
 
 def assemble(label: str, revisions: dict, end_to_end_stdout: str,
-             counters_stdout: str, arm_stdouts: dict) -> dict:
-    """The BENCH record from the stdout of the two COMMANDS and of each
+             counters_stdout: str, gradcheck_stdout: str,
+             arm_stdouts: dict) -> dict:
+    """The BENCH record from the stdout of the three COMMANDS and of each
     arm's ARM_RUN, by arm name. revisions holds the `commit` and `parent`
     entries."""
     machine, end_to_end = parse_run(end_to_end_stdout)
     _, traced = parse_run(counters_stdout)
+    _, gradcheck = parse_run(gradcheck_stdout)
     return {
         "label": label,
         **revisions,
@@ -107,6 +119,8 @@ def assemble(label: str, revisions: dict, end_to_end_stdout: str,
         "end_to_end": end_to_end,
         "ring8_matcher_counters": {k: traced["metrics"][k] for k in COUNTERS},
         "ring8_matcher_phases": {k: traced["metrics"][k] for k in PHASES},
+        "gradcheck_counters": {k: gradcheck["metrics"][k]
+                               for k in GRADCHECK_COUNTERS},
         "ring8_arms": {arm: arm_rate(out) for arm, out in arm_stdouts.items()},
     }
 
@@ -155,7 +169,8 @@ def main() -> None:
     from run_ring8 import ARMS
     arm_stdouts = {arm: run_arm(flags) for arm, flags in ARMS.items()}
     record = assemble(label, revisions(), stdouts["end_to_end"],
-                      stdouts["counters"], arm_stdouts)
+                      stdouts["counters"], stdouts["gradcheck_counters"],
+                      arm_stdouts)
     path = f"BENCH_{label}.json"
     with open(path, "w", encoding="utf-8") as f:
         json.dump(record, f, indent=1)

@@ -1,8 +1,8 @@
 """Finite-difference verification of the generator loss gradients.
 
-Each variant assembles the full pipeline on tiny nets (G 2-16-8-2,
-D 2-16-8-1 with the feature tap on the 8-wide hidden layer, batch 8) and
-compares d(l_g_final)/d(G parameters) against central differences. Hidden
+Each variant assembles the generator's pipeline on tiny nets (G 2-16-8-2,
+D 2-16-8 ending at its feature tap, batch 8) and compares
+d(l_g_final)/d(G parameters) against central differences. Hidden
 activations are tanh so the loss is smooth at the probe scale; relu kinks
 would charge the comparison with subgradient noise unrelated to the graph
 being checked.
@@ -16,10 +16,13 @@ hinge is 0, so each seed's batches are redrawn from its generator until
 the fake batch is more correlated than the real one (seed 0 needs one
 draw). A non-finite error fails its row.
 
-D's features of the real batch and their statistics (`loss.batch_stats`,
-the form training builds) depend on no parameter of G, so each variant
-computes them once and every loss evaluation reads them as constants: the
-same bits that recomputing them per evaluation gives.
+Each loss evaluation computes only what l_g_final reads. D keeps its
+layers through the feature tap, since the objective never reads D's
+output; the 8-1 output layer is still drawn from the seed's generator, and
+dropped, so every seed keeps the batches it always drew. D's real features,
+their statistics (`loss.batch_stats`, the form training builds) and a
+``+rg`` row's real rg_score depend on no parameter of G: each variant
+computes them once, the same bits that recomputing them per evaluation gives.
 """
 
 from __future__ import annotations
@@ -70,8 +73,8 @@ def _build(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     g_net = Network.create((2, 16, 8, 2), hidden_activation="tanh",
                            feature_tap_index=2, rng=rng)
-    d_net = Network.create((2, 16, 8, 1), hidden_activation="tanh",
-                           out_activation="sigmoid", rng=rng)
+    d_net = Network(Network.create((2, 16, 8, 1), hidden_activation="tanh",
+                                   rng=rng).layers[:2], feature_tap_index=1)
     for _ in range(_MAX_DRAWS):
         z = rng.standard_normal((_BATCH, 2))
         x = rng.standard_normal((_BATCH, 2))
@@ -84,10 +87,11 @@ def _build(seed: int) -> tuple:
 
 
 def _loss_value(cfg: LossConfig, g_net: Network, d_net: Network,
-                z: np.ndarray, feat_real: Tensor, real: tuple):
+                z: np.ndarray, feat_real: Tensor, real: tuple, rg_real):
     fake_pts, _ = g_net.forward(constant(z))
     feat_fake = d_net.forward(fake_pts)[1]
-    return generator_terms(cfg, feat_real, feat_fake, real).total
+    return generator_terms(cfg, feat_real, feat_fake, real,
+                           rg_real=rg_real).total
 
 
 def check_variant(name: str, alpha: float = 1.0, beta: float = 1.0,
@@ -100,7 +104,8 @@ def check_variant(name: str, alpha: float = 1.0, beta: float = 1.0,
     g_net, d_net, z, x = _build(seed)
     # fixed under any G perturbation
     feat_real = constant(d_net.forward_values(x)[1])
-    args = (cfg, g_net, d_net, z, feat_real, batch_stats(cfg.kernel, feat_real))
+    args = (cfg, g_net, d_net, z, feat_real, batch_stats(cfg.kernel, feat_real),
+            rg_score(feat_real) if cfg.beta > 0.0 else None)
     params = g_net.parameters()
     analytic = gradients(_loss_value(*args), params)
     if inject_fault:

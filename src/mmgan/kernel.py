@@ -78,7 +78,6 @@ def mean_gram(spec: KernelSpec, a, b):
     w = 1.0 / (va.shape[0] * vb.shape[0])
     if spec.kind == "linear":
         k = va @ vb.T
-        slope = np.ones_like(k)
     else:
         gamma = spec.resolve_gamma(va.shape[1])
         if spec.kind == "rbf":
@@ -87,21 +86,25 @@ def mean_gram(spec: KernelSpec, a, b):
             sq = ((va * va).sum(axis=1)[:, None] + (vb * vb).sum(axis=1)[None, :]
                   - 2.0 * (va @ vb.T))
             k = np.exp(-gamma * np.maximum(sq, 0.0))
-            slope = -2.0 * gamma * k
         else:
             # exact differences: the square root would amplify that
             # roundoff to sqrt(eps) * |s| for coinciding points
             diff = va[:, None, :] - vb[None, :, :]
             dist = np.sqrt((diff * diff).sum(axis=2))
             k = np.exp(-gamma * dist)
-            slope = np.divide(-gamma * k, dist, out=np.zeros_like(k),
-                              where=dist > 0.0)
     value = k.sum() * w
 
     def vjp(g):
         # linear kernel:    dK(a_i, b_j)/da_i = slope_ij b_j;
         # distance kernels: dK(a_i, b_j)/da_i = slope_ij (a_i - b_j);
-        # and the mirror images for b_j
+        # and the mirror images for b_j. Value-only calls never form slope.
+        if spec.kind == "linear":
+            slope = np.ones_like(k)
+        elif spec.kind == "rbf":
+            slope = -2.0 * gamma * k
+        else:
+            slope = np.divide(-gamma * k, dist, out=np.zeros_like(k),
+                              where=dist > 0.0)
         ga = gb = None
         if a.requires_grad:
             ga = slope @ vb

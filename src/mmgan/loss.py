@@ -201,7 +201,7 @@ def rg_penalty(score_real, score_fake):
 
 
 def generator_terms(cfg: LossConfig, reps_real, reps_fake,
-                    real=None, fake=None) -> GeneratorTerms:
+                    real=None, fake=None, rg_real=None) -> GeneratorTerms:
     """The decomposed generator objective over two batches' Tensors, the
     real one a constant.
 
@@ -210,7 +210,9 @@ def generator_terms(cfg: LossConfig, reps_real, reps_fake,
     mini-batch statistics. The trainer passes moving-average blends of the
     centroid and radius instead, with the mean Grams it has already built.
     The centroids shape the plain loss only; the kernelized centroid gap
-    always compares the two batches' mean embeddings.
+    always compares the two batches' mean embeddings. rg_real is the
+    already built rg_score(reps_real), which the penalty reads when beta
+    is above 0; None scores reps_real here.
     """
     c_real, radius_real, gram_real = (batch_stats(cfg.kernel, reps_real)
                                       if real is None else real)
@@ -230,7 +232,8 @@ def generator_terms(cfg: LossConfig, reps_real, reps_fake,
     rg = rg_fake = None
     if cfg.beta > 0.0:
         rg_fake = rg_score(reps_fake)
-        rg = rg_penalty(rg_score(reps_real), rg_fake)
+        rg = rg_penalty(rg_score(reps_real) if rg_real is None else rg_real,
+                        rg_fake)
         total = total + cfg.beta * rg
     return GeneratorTerms(manifold=manifold, radius=radius, rg=rg,
                           rg_fake=rg_fake, total=total)

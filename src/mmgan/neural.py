@@ -431,7 +431,8 @@ class Network:
             x = layer(x)
             if i == self.feature_tap_index:
                 features = x
-        if not np.isfinite(x.value).all() or not np.isfinite(features.value).all():
+        if not (np.isfinite(x.value).all() and (
+                features is x or np.isfinite(features.value).all())):
             raise NumericalError(
                 f"non-finite activation in {self._first_nonfinite(batch)}")
         return x, features

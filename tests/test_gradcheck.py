@@ -8,9 +8,10 @@ import mmgan.gradcheck as gradcheck_mod
 from mmgan.cli import main
 from mmgan.gradcheck import (BASES, TOLERANCE, _build, _config,
                              check_variant, run_suite, variant_names)
+import mmgan.loss as loss_mod
 from mmgan.loss import generator_terms
 from mmgan.manifold import ManifoldTracker
-from mmgan.neural import constant, gradients
+from mmgan.neural import Layer, Network, constant, gradients
 from mmgan.trainer import update_trackers
 
 
@@ -130,21 +131,73 @@ def test_loss_value_runs_once_per_loss_evaluation(monkeypatch):
     assert len(calls) == 3240
 
 
+def _full_d(seed: int):
+    """The seed's D with its 8-1 sigmoid output layer, drawn after G as
+    gradcheck draws them, independently of _build."""
+    rng = np.random.default_rng(seed)
+    Network.create((2, 16, 8, 2), hidden_activation="tanh",
+                   feature_tap_index=2, rng=rng)
+    return Network.create((2, 16, 8, 1), hidden_activation="tanh",
+                          out_activation="sigmoid", rng=rng)
+
+
 @pytest.mark.parametrize("name", variant_names())
 def test_hoisted_real_side_gives_the_full_objective(monkeypatch, name):
-    # the real side check_variant computes once is the one a G perturbation
-    # would recompute: value and G gradients match the full objective's bits
+    # the real side check_variant computes once, and D cut at its feature
+    # tap, give the bits of the full objective over the full D, which a G
+    # perturbation would recompute: value and G gradients
     calls = _recorded_loss_values(monkeypatch)
     check_variant(name, seed=1)
-    cfg, g_net, d_net, z, feat_real, real = calls[0]
-    assert all(args[4] is feat_real and args[5] is real for args in calls)
+    cfg, g_net, d_net, z, feat_real, real, rg_real = calls[0]
+    assert all(args[4] is feat_real and args[5] is real
+               and args[6] is rg_real for args in calls)
     params = g_net.parameters()
     params["layer1.w"].value[3, 2] += 1e-3
     x = _build(1)[3]
-    hoisted = gradcheck_mod._loss_value(cfg, g_net, d_net, z, feat_real, real)
-    full = generator_terms(cfg, d_net.forward(constant(x))[1],
-                           d_net.forward(g_net.forward(constant(z))[0])[1])
+    hoisted = gradcheck_mod._loss_value(*calls[0])
+    d_full = _full_d(1)
+    assert len(d_full.layers) == 3 and len(d_net.layers) == 2
+    full = generator_terms(cfg, d_full.forward(constant(x))[1],
+                           d_full.forward(g_net.forward(constant(z))[0])[1])
     assert hoisted.value.tobytes() == full.total.value.tobytes()
     want = gradients(full.total, params)
     for key, grad in gradients(hoisted, params).items():
         assert grad.tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("name", ["plain+rg", "rbf+rg"])
+def test_each_loss_evaluation_runs_only_what_the_loss_reads(monkeypatch,
+                                                             name):
+    layer_calls, scored, evals = [], [], []
+    exact_layer, exact_score = Layer.__call__, loss_mod.rg_score
+    exact_loss = gradcheck_mod._loss_value
+
+    def layer(self, x):
+        layer_calls.append(self)
+        return exact_layer(self, x)
+
+    def score(reps):
+        scored.append(reps)
+        return exact_score(reps)
+
+    def loss_value(*args):
+        marks = len(layer_calls), len(scored)
+        out = exact_loss(*args)
+        evals.append((args, layer_calls[marks[0]:], scored[marks[1]:]))
+        return out
+
+    monkeypatch.setattr(Layer, "__call__", layer)
+    monkeypatch.setattr(loss_mod, "rg_score", score)
+    monkeypatch.setattr(gradcheck_mod, "rg_score", score)
+    monkeypatch.setattr(gradcheck_mod, "_loss_value", loss_value)
+    check_variant(name, seed=1)
+    assert len(evals) == 1 + 2 * 202
+    g_layers, d_layers = evals[0][0][1].layers, evals[0][0][2].layers
+    feat_real = evals[0][0][4]
+    for args, layers, scores in evals:
+        # G's three layers, then D's two up to its feature tap
+        assert len(layers) == 5
+        assert all(a is b for a, b in zip(layers, [*g_layers, *d_layers]))
+        # the fake batch's score alone
+        assert len(scores) == 1 and scores[0] is not feat_real
+    assert sum(reps is feat_real for reps in scored) == 1

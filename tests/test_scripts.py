@@ -49,17 +49,27 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
         f"machine: {json.dumps(MACHINE)}",
         json.dumps({"correct": True, "attempted": 6, "failed": 0,
                     "metrics": traced})])
+    # the traced gradcheck suite's counts, among its other metrics
+    gradcheck_stdout = "\n".join([
+        f"machine: {json.dumps(MACHINE)}",
+        json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+            "regularizer.r_g.calls": metric(1656.0, "count"),
+            "neural.forward.calls": metric(6536.0, "count"),
+            "neural.backward.calls": metric(8.0, "count"),
+            "gradcheck.loss_evals": metric(3240, "count")}})])
     # each protocol arm's run prints its wall time in seconds
     arms = load_script("run_ring8").ARMS
     walls = dict(zip(arms, ("2.0", "1.6", "2.5")))
     arm_stdouts = {arm: f"{wall}\n" for arm, wall in walls.items()}
     record = bench.assemble("pr8", {"commit": None, "parent": "abc1234"},
-                            e2e_stdout, counters_stdout, arm_stdouts)
+                            e2e_stdout, counters_stdout, gradcheck_stdout,
+                            arm_stdouts)
     # the schema of the committed BENCH files, which gained the phases, the
-    # arms and the source size
+    # arms, the source size and the gradcheck counters
     assert list(record) == ["label", "commit", "parent", "commands", "machine",
                             "src_lines", "end_to_end", "ring8_matcher_counters",
-                            "ring8_matcher_phases", "ring8_arms"]
+                            "ring8_matcher_phases", "gradcheck_counters",
+                            "ring8_arms"]
     assert record["label"] == "pr8" and record["parent"] == "abc1234"
     assert record["machine"] == MACHINE
     wc = subprocess.run("cat src/mmgan/*.py | wc -l", shell=True, check=True,
@@ -73,13 +83,21 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
         "trainer.update_trackers.ms": metric(1.5, "ms"),
         "trainer.g_step.ms": metric(2.5, "ms"),
         "trainer.eval_callback.ms": metric(3.5, "ms")}
+    assert record["gradcheck_counters"] == {
+        "regularizer.r_g.calls": metric(1656.0, "count"),
+        "neural.forward.calls": metric(6536.0, "count"),
+        "gradcheck.loss_evals": metric(3240, "count")}
     # 1000 steps over each arm's wall time, in ARMS order
     assert record["ring8_arms"] == {"matcher": metric(500.0, "steps/s"),
                                     "baseline": metric(625.0, "steps/s"),
                                     "nopenalty": metric(400.0, "steps/s")}
     assert list(record["ring8_arms"]) == list(arms)
     committed = json.loads((SCRIPTS.parent / "BENCH_pr6.json").read_text())
-    assert record["commands"] == committed["commands"]
+    # the committed commands, plus the traced gradcheck run
+    assert record["commands"] == {
+        **committed["commands"],
+        "gradcheck_counters": "python3 perfbench/run.py --workload gradcheck "
+                              "--seed 1 --seconds 30 --trace 1"}
     assert set(record["ring8_matcher_counters"]) == set(
         committed["ring8_matcher_counters"])
 
