@@ -13,12 +13,16 @@ ARMS) once, each in a fresh process with BLAS threads capped at the
 usable cores as perfbench caps them: 1000 steps of `mmgan train` at
 batch 64, seed 1, one evaluation at the last step, called in process,
 over the wall time of that call.
+Last it times the whole protocol at 1000 steps, `python3
+scripts/run_ring8.py --steps 1000` (3 arms x 5 seeds), as one fresh
+process under the same BLAS cap, its run directories in a temporary
+directory; the wall time includes the interpreter's start.
 The file records the machine, the end-to-end result, the ring8 counters
-and phases, the gradcheck counters and the arms' steps/s, with the
-commands that produced them and the commit they were measured on
-(`commit` is null, and `parent` names HEAD, when the working tree has
-uncommitted changes). `src_lines` is the
-size of the measured package: the line count of src/mmgan/*.py, as
+and phases, the gradcheck counters, the arms' steps/s and the protocol's
+wall time, with the commands that produced them and the commit they were
+measured on (`commit` is null, and `parent` names HEAD, when the working
+tree has uncommitted changes). `src_lines` is the size of the measured
+package: the line count of src/mmgan/*.py, as
 `cat src/mmgan/*.py | wc -l` prints it.
 """
 import argparse
@@ -26,9 +30,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
-COMMANDS = {
+# the perfbench runs, by the record entry each one feeds
+PERFBENCH = {
     "end_to_end": "python3 perfbench/run.py --workload all --seed 1 "
                   "--seconds 30 --trace 0",
     "counters": "python3 perfbench/run.py --workload ring8_matcher --seed 1 "
@@ -36,6 +43,8 @@ COMMANDS = {
     "gradcheck_counters": "python3 perfbench/run.py --workload gradcheck "
                           "--seed 1 --seconds 30 --trace 1",
 }
+PROTOCOL = "python3 scripts/run_ring8.py --steps 1000"
+COMMANDS = {**PERFBENCH, "protocol_wall_s": PROTOCOL}
 # the traced ring8 metrics a BENCH file keeps
 COUNTERS = (
     "neural.forward.calls_per_step",
@@ -77,7 +86,8 @@ if code:
     raise SystemExit(code)
 print(wall)
 """
-SRC = Path(__file__).resolve().parent.parent / "src"
+SCRIPTS = Path(__file__).resolve().parent
+SRC = SCRIPTS.parent / "src"
 
 
 def src_lines() -> int:
@@ -103,10 +113,10 @@ def arm_rate(stdout: str) -> dict:
 
 def assemble(label: str, revisions: dict, end_to_end_stdout: str,
              counters_stdout: str, gradcheck_stdout: str,
-             arm_stdouts: dict) -> dict:
-    """The BENCH record from the stdout of the three COMMANDS and of each
-    arm's ARM_RUN, by arm name. revisions holds the `commit` and `parent`
-    entries."""
+             arm_stdouts: dict, protocol_wall: float) -> dict:
+    """The BENCH record from the stdout of the three PERFBENCH runs and
+    of each arm's ARM_RUN, by arm name, and the protocol's wall seconds.
+    revisions holds the `commit` and `parent` entries."""
     machine, end_to_end = parse_run(end_to_end_stdout)
     _, traced = parse_run(counters_stdout)
     _, gradcheck = parse_run(gradcheck_stdout)
@@ -122,6 +132,7 @@ def assemble(label: str, revisions: dict, end_to_end_stdout: str,
         "gradcheck_counters": {k: gradcheck["metrics"][k]
                                for k in GRADCHECK_COUNTERS},
         "ring8_arms": {arm: arm_rate(out) for arm, out in arm_stdouts.items()},
+        "protocol_wall_s": {"value": protocol_wall, "unit": "s"},
     }
 
 
@@ -137,19 +148,42 @@ def revisions() -> dict:
     return {"commit": head, "parent": _git("rev-parse", "--short", "HEAD~1")}
 
 
+def capped_env() -> dict:
+    """The environment of a fresh process: BLAS threads capped at the
+    usable cores, as perfbench caps them, and the package importable."""
+    cap = str(len(os.sched_getaffinity(0)))
+    return dict(os.environ, OPENBLAS_NUM_THREADS=cap, OMP_NUM_THREADS=cap,
+                MKL_NUM_THREADS=cap,
+                PYTHONPATH=os.pathsep.join(
+                    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def run_arm(flags: list) -> str:
     """The stdout of ARM_RUN on one arm's flags, in a fresh process."""
-    cap = str(len(os.sched_getaffinity(0)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=cap, OMP_NUM_THREADS=cap,
-               MKL_NUM_THREADS=cap,
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", ARM_RUN, *ARM_ARGV, *flags],
-                          env=env, capture_output=True, text=True, check=False)
+                          env=capped_env(), capture_output=True, text=True,
+                          check=False)
     sys.stderr.write(proc.stderr)
     if proc.returncode != 0:
         sys.exit(f"ring8 arm {' '.join(flags)} exited {proc.returncode}")
     return proc.stdout
+
+
+def run_protocol(flags=()) -> float:
+    """Wall seconds of PROTOCOL, with flags appended, in a fresh process
+    whose run directories go to a temporary directory."""
+    script, *args = PROTOCOL.split()[1:]
+    with tempfile.TemporaryDirectory() as out:
+        argv = [sys.executable, str(SCRIPTS.parent / script), *args, *flags,
+                "--out", out]
+        start = time.perf_counter()
+        proc = subprocess.run(argv, env=capped_env(), capture_output=True,
+                              text=True, check=False)
+        wall = time.perf_counter() - start
+    sys.stderr.write(proc.stderr)
+    if proc.returncode != 0:
+        sys.exit(f"ring8 protocol exited {proc.returncode}")
+    return wall
 
 
 def main() -> None:
@@ -158,7 +192,7 @@ def main() -> None:
     label = ap.parse_args().label
 
     stdouts = {}
-    for key, command in COMMANDS.items():
+    for key, command in PERFBENCH.items():
         argv = [sys.executable, *command.split()[1:]]
         proc = subprocess.run(argv, capture_output=True, text=True, check=False)
         sys.stderr.write(proc.stderr)
@@ -170,7 +204,7 @@ def main() -> None:
     arm_stdouts = {arm: run_arm(flags) for arm, flags in ARMS.items()}
     record = assemble(label, revisions(), stdouts["end_to_end"],
                       stdouts["counters"], stdouts["gradcheck_counters"],
-                      arm_stdouts)
+                      arm_stdouts, run_protocol())
     path = f"BENCH_{label}.json"
     with open(path, "w", encoding="utf-8") as f:
         json.dump(record, f, indent=1)

@@ -57,13 +57,6 @@ class KernelSpec:
         return self.gamma if self.gamma is not None else 1.0 / dim
 
 
-def _batch(x):
-    """A d-vector is a batch of one row."""
-    if x.value.ndim == 1:
-        return x.reshape(1, -1)
-    return x
-
-
 def mean_gram(spec: KernelSpec, a, b):
     """<mu_a, mu_b> = mean of K(a_i, b_j) over every row pair of an (n, d)
     and an (m, d) batch.
@@ -135,17 +128,14 @@ def feature_sq_dist(spec: KernelSpec, a, b, gram_a=None, gram_b=None):
     """||mu_a - mu_b||^2 between the feature-space centroids of a and b.
     Non-negative.
 
-    Each argument is a d-vector, whose centroid is phi of itself, or an
-    (n, d) batch, whose centroid is its mean embedding; between two
-    batches this is the (biased) squared maximum mean discrepancy. gram_a
-    and gram_b, if given, are the already built mean_gram(spec, a, a) and
-    mean_gram(spec, b, b). Raises
-    ValueError if roundoff alone cannot explain a negative value, since
-    that means the kernel is not positive semidefinite here.
+    Each argument is an (n, d) batch, whose centroid is its mean
+    embedding; a batch of one row has phi of that row as its centroid.
+    Between two batches this is the (biased) squared maximum mean
+    discrepancy. gram_a and gram_b, if given, are the already built
+    mean_gram(spec, a, a) and mean_gram(spec, b, b). Raises ValueError if
+    roundoff alone cannot explain a negative value, since that means the
+    kernel is not positive semidefinite here.
     """
-    if a.value.ndim not in (1, 2) or b.value.ndim not in (1, 2):
-        raise ValueError("kernel inputs must be d-vectors or (n, d) batches")
-    a, b = _batch(a), _batch(b)
     kaa = mean_gram(spec, a, a) if gram_a is None else gram_a
     kbb = mean_gram(spec, b, b) if gram_b is None else gram_b
     v = kaa - 2.0 * mean_gram(spec, a, b) + kbb

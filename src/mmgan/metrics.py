@@ -1,6 +1,6 @@
-"""Mode coverage of generated samples, and `manifold_gap`, the reference
-sphere gaps acceptance criterion 4 judges by. The program never calls it:
-it measures the gaps through `loss.generator_terms`."""
+"""Mode coverage of generated samples, and the row one evaluation writes.
+The row's sphere gaps are measured through `loss.generator_terms`
+(`trainer.score_samples`)."""
 
 from __future__ import annotations
 
@@ -8,10 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from mmgan.manifold import SphereManifold
-
-__all__ = ["MetricsRow", "mode_coverage", "manifold_gap",
-           "HQ_SIGMA_MULTIPLIER", "COVERAGE_DIVISOR"]
+__all__ = ["MetricsRow", "mode_coverage", "HQ_SIGMA_MULTIPLIER",
+           "COVERAGE_DIVISOR"]
 
 # a sample is high quality within this many sigmas of its nearest mode
 HQ_SIGMA_MULTIPLIER = 3.0
@@ -61,11 +59,3 @@ def mode_coverage(samples, centers, sigma: float) -> tuple:
     need = max(1.0, n / (COVERAGE_DIVISOR * m))
     return int((counts >= need).sum()), float(hq.mean())
 
-
-def manifold_gap(m_real: SphereManifold, m_fake: SphereManifold) -> tuple:
-    """(centroid gap, radius gap) between two fitted spheres."""
-    if m_real.centroid.shape != m_fake.centroid.shape:
-        raise ValueError(f"dimension mismatch: {m_real.centroid.shape} vs "
-                         f"{m_fake.centroid.shape}")
-    return (float(np.linalg.norm(m_real.centroid - m_fake.centroid)),
-            abs(m_real.radius - m_fake.radius))

@@ -225,11 +225,6 @@ class Tensor:
         a = self.value
         return node(np.maximum(a, lo), (self,), lambda g: (g * (a > lo),))
 
-    def reshape(self, *shape) -> "Tensor":
-        a = self.value
-        out = a.reshape(*shape)
-        return node(out, (self,), lambda g: (g.reshape(a.shape),))
-
 
 def constant(value) -> Tensor:
     """Leaf that never receives gradients."""

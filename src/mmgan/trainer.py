@@ -32,9 +32,10 @@ it) and the fake batch's rg_score (the penalty and the report).
 
 The blend delta * stop_grad(tracked) + (1 - delta) * mini keeps gradients
 flowing through the mini-batch term only, and the tracker state after step
-3 is the blend's value: one fold (`manifold.tracker_update`) computes both.
-A tracker that has not seen any batch yet contributes nothing: the raw
-mini-batch statistic is used. The trainer knows no geometry: which
+3 is the blend's value: one fold (`manifold.tracker_update`) of the
+mini-batch nodes computes both, on the real side as on the fake. A tracker
+that has not seen any batch yet contributes nothing: the raw mini-batch
+statistic is used. The trainer knows no geometry: which
 statistics a batch contributes is `loss.batch_stats`'s decision (with a
 kernel, the radius and the mean Gram but no centroid), and the trackers
 fold whatever it returns.
@@ -138,15 +139,15 @@ def update_trackers(spec: KernelSpec | None, feat_real: Tensor,
     and return the two blended (centroid, radius, mean_gram) triples that
     g_step reads, real first.
 
-    feat_real holds the real features as a constant, and the real radius
-    is folded as a value; feat_fake holds the fake ones as the graph node
-    g_step differentiates, so the fake tracker folds in the mini-batch
-    nodes and its state is the value of the blend g_step reads.
+    Both trackers fold nodes, and each one's state is the value of the
+    blend g_step reads. feat_real holds the real features as a constant,
+    so the real triple is constant nodes; feat_fake holds the fake ones as
+    the graph node g_step differentiates.
     """
     c, r, gram = batch_stats(spec, feat_real)
     side = "real"
     try:
-        real = (*tracker_update(real_tracker, c, r.item()), gram)
+        real = (*tracker_update(real_tracker, c, r), gram)
         side = "fake"
         c, r, gram = batch_stats(spec, feat_fake)
         return real, (*tracker_update(fake_tracker, c, r), gram)

@@ -72,6 +72,17 @@ def brute_mean_distance(points, c):
     return total / len(points)
 
 
+def manifold_gap(real, fake) -> tuple:
+    """(centroid gap, radius gap) between two spheres, each a (centroid,
+    radius) pair: the reference sphere gaps acceptance criterion 4 judges
+    a tracker by."""
+    (c_real, r_real), (c_fake, r_fake) = real, fake
+    c_real, c_fake = np.asarray(c_real, dtype=float), np.asarray(c_fake, dtype=float)
+    if c_real.shape != c_fake.shape:
+        raise ValueError(f"dimension mismatch: {c_real.shape} vs {c_fake.shape}")
+    return float(np.linalg.norm(c_real - c_fake)), abs(r_real - r_fake)
+
+
 def brute_corr(reps):
     """Pearson correlation matrix by the textbook formula, row variables."""
     reps = np.asarray(reps, dtype=float)

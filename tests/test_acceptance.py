@@ -14,12 +14,12 @@ import pytest
 
 from mmgan.cli import main as cli_main
 from mmgan.kernel import KernelSpec, feature_sq_dist
-from mmgan.manifold import ManifoldTracker, SphereManifold, centroid, radius
-from mmgan.metrics import manifold_gap
+from mmgan.manifold import ManifoldTracker, centroid, radius, tracker_update
 from mmgan.neural import constant
 from mmgan.gradcheck import TOLERANCE, run_suite, variant_names
 from mmgan.persist import load_network, save_network
 from mmgan.regularizer import r_g
+from oracles import manifold_gap
 
 
 def _final_row(run_dir):
@@ -50,10 +50,10 @@ def test_criterion_2_kernel_trick_equivalence():
         a = rng.standard_normal(8) * rng.uniform(0.1, 10.0)
         b = rng.standard_normal(8) * rng.uniform(0.1, 10.0)
         sq = float(((a - b) ** 2).sum())
-        assert abs(feature_sq_dist(linear, constant(a), constant(b)).item() - sq) <= 1e-10
+        assert abs(feature_sq_dist(linear, constant(a[None]), constant(b[None])).item() - sq) <= 1e-10
         gamma = rbf.resolve_gamma(8)
         expect = 2.0 - 2.0 * np.exp(-gamma * sq)
-        assert abs(feature_sq_dist(rbf, constant(a), constant(b)).item() - expect) <= 1e-12
+        assert abs(feature_sq_dist(rbf, constant(a[None]), constant(b[None])).item() - expect) <= 1e-12
     assert time.monotonic() - t0 < 1.0
 
 
@@ -88,15 +88,15 @@ def test_criterion_3_sphere_statistics_optimality():
 @pytest.mark.parametrize("delta", [0.9, 0.99])
 def test_criterion_4_moving_average_geometric_law(delta):
     rng = np.random.default_rng(3)
-    start = SphereManifold(rng.standard_normal(4), 2.5)
-    target = SphereManifold(rng.standard_normal(4), 0.75)
+    start = (rng.standard_normal(4), 2.5)
+    target = (rng.standard_normal(4), 0.75)
     tracker = ManifoldTracker(delta)
-    tracker.update(start)
-    cg0, rg0 = manifold_gap(tracker.current, target)
+    tracker_update(tracker, *map(constant, start))
+    cg0, rg0 = manifold_gap((tracker.centroid, tracker.radius), target)
     gap0 = cg0 + rg0
     for k in range(1, 201):
-        tracker.update(target)
-        cg, rg = manifold_gap(tracker.current, target)
+        tracker_update(tracker, *map(constant, target))
+        cg, rg = manifold_gap((tracker.centroid, tracker.radius), target)
         assert abs((cg + rg) - delta ** k * gap0) <= 1e-10, f"k={k}"
 
 

@@ -57,14 +57,20 @@ def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         mean_gram(KernelSpec("linear"), constant(np.zeros((4, 2))),
                   constant(np.zeros((3, 3))))
+    # a single point enters as a batch of one row, not as a d-vector
+    with pytest.raises(ValueError, match="incompatible batches"):
+        feature_sq_dist(KernelSpec("linear"), constant(np.zeros(2)),
+                        constant(np.zeros((1, 2))))
 
 
 def test_linear_sq_dist_identity():
-    # kernel trick with the linear kernel must reproduce plain geometry
+    # kernel trick with the linear kernel must reproduce plain geometry;
+    # a batch of one row has phi of that row as its centroid
     rng = np.random.default_rng(0)
     for _ in range(20):
         a, b = rng.normal(size=4), rng.normal(size=4)
-        got = feature_sq_dist(KernelSpec("linear"), constant(a), constant(b)).item()
+        got = feature_sq_dist(KernelSpec("linear"), constant(a[None]),
+                              constant(b[None])).item()
         assert got == pytest.approx(np.sum((a - b) ** 2), rel=1e-12, abs=1e-12)
 
 
@@ -74,7 +80,7 @@ def test_rbf_sq_dist_identity():
     for _ in range(20):
         a, b = rng.normal(size=3), rng.normal(size=3)
         want = 2.0 - 2.0 * np.exp(-0.7 * np.sum((a - b) ** 2))
-        got = feature_sq_dist(spec, constant(a), constant(b)).item()
+        got = feature_sq_dist(spec, constant(a[None]), constant(b[None])).item()
         assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -138,9 +144,9 @@ def test_symmetry_and_nonnegativity(xs, ys, spec_i):
     a, b = np.array(xs[:n]), np.array(ys[:n])
     spec = ALL_SPECS[spec_i]
     assert kernel_eval(spec, a, b) == pytest.approx(kernel_eval(spec, b, a), rel=1e-12)
-    assert feature_sq_dist(spec, constant(a), constant(b)).item() >= 0.0
-    assert (feature_sq_dist(spec, constant(a), constant(a)).item()
-            == pytest.approx(0.0, abs=1e-12))
+    a1, b1 = constant(a[None]), constant(b[None])
+    assert feature_sq_dist(spec, a1, b1).item() >= 0.0
+    assert feature_sq_dist(spec, a1, a1).item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_gram_matrices_are_psd():
@@ -157,8 +163,8 @@ def test_psd_violation_detected(monkeypatch):
     monkeypatch.setattr(kernel_mod, "mean_gram",
                         lambda spec, a, b: constant(0.0 if a is b else 1.0))
     with pytest.raises(ValueError, match="positive semidefinite"):
-        feature_sq_dist(KernelSpec("linear"), constant(np.zeros(2)),
-                        constant(np.ones(2)))
+        feature_sq_dist(KernelSpec("linear"), constant(np.zeros((1, 2))),
+                        constant(np.ones((1, 2))))
 
 
 def test_prebuilt_gram_gives_the_same_bits():
@@ -175,7 +181,7 @@ def test_prebuilt_gram_gives_the_same_bits():
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
 def test_gradients_through_kernel_ops(spec):
     rng = np.random.default_rng(8)
-    arrays = {"a": rng.normal(size=4), "b": rng.normal(size=4),
+    arrays = {"a": rng.normal(size=(1, 4)), "b": rng.normal(size=(1, 4)),
               "pts": rng.normal(size=(5, 4)), "qts": rng.normal(size=(3, 4))}
 
     def build(params):

@@ -125,17 +125,6 @@ def test_relu_clamp_fd_away_from_kinks():
     check_against_fd(loss, {"a": a})
 
 
-def test_reshape_fd():
-    rng = np.random.default_rng(12)
-    a = rng.normal(size=(2, 6))
-
-    def loss(p):
-        m = p["a"].reshape(3, 4)
-        return ((m * m.sum(axis=1, keepdims=True)) * 0.5).sum()
-
-    check_against_fd(loss, {"a": a})
-
-
 def test_numpy_left_operands_hit_reflected_ops():
     x = parameter([1.0, 2.0])
     arr = np.array([3.0, 4.0])

@@ -63,13 +63,13 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
     arm_stdouts = {arm: f"{wall}\n" for arm, wall in walls.items()}
     record = bench.assemble("pr8", {"commit": None, "parent": "abc1234"},
                             e2e_stdout, counters_stdout, gradcheck_stdout,
-                            arm_stdouts)
+                            arm_stdouts, 21.5)
     # the schema of the committed BENCH files, which gained the phases, the
-    # arms, the source size and the gradcheck counters
+    # arms, the source size, the gradcheck counters and the protocol's wall
     assert list(record) == ["label", "commit", "parent", "commands", "machine",
                             "src_lines", "end_to_end", "ring8_matcher_counters",
                             "ring8_matcher_phases", "gradcheck_counters",
-                            "ring8_arms"]
+                            "ring8_arms", "protocol_wall_s"]
     assert record["label"] == "pr8" and record["parent"] == "abc1234"
     assert record["machine"] == MACHINE
     wc = subprocess.run("cat src/mmgan/*.py | wc -l", shell=True, check=True,
@@ -92,12 +92,15 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
                                     "baseline": metric(625.0, "steps/s"),
                                     "nopenalty": metric(400.0, "steps/s")}
     assert list(record["ring8_arms"]) == list(arms)
+    assert record["protocol_wall_s"] == metric(21.5, "s")
     committed = json.loads((SCRIPTS.parent / "BENCH_pr6.json").read_text())
-    # the committed commands, plus the traced gradcheck run
+    # the committed commands, plus the traced gradcheck run and the
+    # protocol at 1000 steps
     assert record["commands"] == {
         **committed["commands"],
         "gradcheck_counters": "python3 perfbench/run.py --workload gradcheck "
-                              "--seed 1 --seconds 30 --trace 1"}
+                              "--seed 1 --seconds 30 --trace 1",
+        "protocol_wall_s": "python3 scripts/run_ring8.py --steps 1000"}
     assert set(record["ring8_matcher_counters"]) == set(
         committed["ring8_matcher_counters"])
 
@@ -109,3 +112,10 @@ def test_bench_arm_run_prints_its_wall_time():
     stdout = bench.run_arm(["--baseline", "--steps", "20",
                             "--eval-interval", "20"])
     assert float(stdout.split()[-1]) > 0.0
+
+
+def test_bench_protocol_run_returns_its_wall_time():
+    # the protocol on one seed at 20 steps, in the fresh process bench.py
+    # times it in; later flags override the command's
+    bench = load_script("bench")
+    assert bench.run_protocol(["--steps", "20", "--seeds", "0"]) > 0.0

@@ -11,7 +11,7 @@ from mmgan.config import RunConfig
 from mmgan.data import DatasetHandle, make_dataset
 from mmgan.kernel import KernelSpec, kernel_radius
 from mmgan.loss import batch_stats, rg_score
-from mmgan.manifold import ManifoldTracker, SphereManifold, tracker_update
+from mmgan.manifold import ManifoldTracker, tracker_update
 from mmgan.neural import (Network, NumericalError, SGD, Tensor, constant,
                           gradients, parameter)
 from mmgan.trainer import (
@@ -54,8 +54,8 @@ def test_train_smoke_and_result_shape():
         assert r.r_g >= 0.0
     assert res.generator.in_dim == 2 and res.generator.layers[-1].fan_out == 2
     assert res.discriminator.layers[-1].fan_out == 1
-    assert res.real_tracker.current is not None
-    assert res.fake_tracker.current is not None
+    assert res.real_tracker.radius is not None
+    assert res.fake_tracker.radius is not None
 
 
 def test_train_is_deterministic_per_seed():
@@ -123,8 +123,8 @@ def test_tracker_states_follow_recorded_minis(monkeypatch):
         for cm, rm in minis[name][1:]:
             c = delta * c + (1 - delta) * cm
             r = delta * r + (1 - delta) * rm
-        np.testing.assert_allclose(tracker.current.centroid, c, rtol=1e-12)
-        assert tracker.current.radius == pytest.approx(r, rel=1e-12)
+        np.testing.assert_allclose(tracker.centroid, c, rtol=1e-12)
+        assert tracker.radius == pytest.approx(r, rel=1e-12)
 
 
 def test_delta_zero_tracker_equals_last_mini(monkeypatch):
@@ -139,9 +139,9 @@ def test_delta_zero_tracker_equals_last_mini(monkeypatch):
     monkeypatch.setattr(trainer_mod, "update_trackers", spy)
     res = train(tiny_cfg(steps=3, delta=0.0),
                 make_dataset("ring8"))
-    np.testing.assert_allclose(res.real_tracker.current.centroid, minis[-1][0],
+    np.testing.assert_allclose(res.real_tracker.centroid, minis[-1][0],
                                rtol=1e-12)
-    assert res.real_tracker.current.radius == pytest.approx(minis[-1][1], rel=1e-12)
+    assert res.real_tracker.radius == pytest.approx(minis[-1][1], rel=1e-12)
 
 
 @pytest.mark.parametrize("loss_keys", [
@@ -164,20 +164,21 @@ def test_g_step_blend_value_coincides_with_tracker(monkeypatch, loss_keys):
         rt, ft = trackers
         c_fake, r_fake, _ = stats[1]
         blend_c = None if c_fake is None else c_fake.value
-        seen.append((blend_c, r_fake.item(), ft.current, rt.current))
+        seen.append((blend_c, r_fake.item(), (ft.centroid, ft.radius),
+                     rt.centroid))
         return orig_g(lc, opt_g, feat_real, out_fake, feat_fake, stats)
 
     monkeypatch.setattr(trainer_mod, "update_trackers", spy_t)
     monkeypatch.setattr(trainer_mod, "g_step", spy_g)
     train(tiny_cfg(steps=4, **loss_keys), make_dataset("ring8"))
     assert len(seen) == 4
-    for blend_c, blend_r, fake_state, real_state in seen:
-        assert blend_r == fake_state.radius
+    for blend_c, blend_r, (fake_c, fake_r), real_c in seen:
+        assert blend_r == fake_r
         if "kernel" in loss_keys:
             assert blend_c is None
-            assert fake_state.centroid is None and real_state.centroid is None
+            assert fake_c is None and real_c is None
         else:
-            assert np.array_equal(blend_c, fake_state.centroid)
+            assert np.array_equal(blend_c, fake_c)
 
 
 def test_baseline_mode_skips_manifold_machinery(monkeypatch):
@@ -186,7 +187,7 @@ def test_baseline_mode_skips_manifold_machinery(monkeypatch):
                         lambda *a, **k: called.append(1))
     res = train(tiny_cfg(steps=4, baseline=True), make_dataset("ring8"))
     assert called == []
-    assert res.real_tracker.current is None
+    assert res.real_tracker.radius is None
     assert [r.step for r in res.history] == [2, 4]
     assert all(np.isfinite(r.loss_g) for r in res.history)
 
@@ -234,10 +235,10 @@ ARMS = {"rbf": dict(kernel="rbf", beta=1.0),
 @pytest.mark.parametrize("keys, per_step, report_extra, backward_nodes, tensors", [
     (ARMS["rbf"],
      dict(forward=5, forward_values=1, mean_gram=3, kernel_radius=2, r_g=2),
-     {}, [10, 27], (44, 44)),
+     {}, [10, 27], (46, 46)),
     (ARMS["rbf-beta0"],
      dict(forward=5, forward_values=1, mean_gram=3, kernel_radius=2, r_g=0),
-     dict(r_g=1), [10, 21], (36, 38)),
+     dict(r_g=1), [10, 21], (38, 40)),
     (ARMS["baseline"],
      dict(forward=4, forward_values=0, mean_gram=0, kernel_radius=0, r_g=0),
      dict(forward=1, forward_values=1, r_g=1), [10, 9], (14, 44)),
@@ -423,11 +424,11 @@ def test_shared_values_equal_a_fresh_value_pass(monkeypatch):
     d = res.discriminator
     mini_real, mini_fake = minis[-2:]
     feat_fake = d.forward_values(fake)[1]
-    # the fake radius is the node the blend is built on, the real one a value
+    # each radius is the node the blend is built on
     feat_real = constant(d.forward_values(x)[1])
     assert np.array_equal(mini_fake.value,
                           kernel_radius(spec, constant(feat_fake)).value)
-    assert np.array_equal(mini_real, kernel_radius(spec, feat_real).item())
+    assert np.array_equal(mini_real.value, kernel_radius(spec, feat_real).value)
     assert np.array_equal(res.history[-1].r_g,
                           rg_score(constant(feat_fake)).item())
 
@@ -542,18 +543,38 @@ def test_update_trackers_initializes_both():
     _, feat_fake = d.forward(g.forward(rng.normal(size=(8, 2)))[0])
     rt, ft = ManifoldTracker(0.9), ManifoldTracker(0.9)
     real, fake = update_trackers(None, feat_real, feat_fake, rt, ft)
-    assert rt.current is not None and ft.current is not None
+    assert rt.radius is not None and ft.radius is not None
     # plain space: no mean Gram, and the real triple is the tracker's state
     assert real[2] is None and fake[2] is None
-    assert np.array_equal(real[0].value, rt.current.centroid)
-    assert real[1] == rt.current.radius
-    np.testing.assert_allclose(rt.current.centroid, feat_real.value.mean(axis=0))
-    np.testing.assert_allclose(ft.current.centroid, feat_fake.value.mean(axis=0))
+    assert np.array_equal(real[0].value, rt.centroid)
+    assert real[1].item() == rt.radius
+    np.testing.assert_allclose(rt.centroid, feat_real.value.mean(axis=0))
+    np.testing.assert_allclose(ft.centroid, feat_fake.value.mean(axis=0))
     # a fresh tracker adopts the mini-batch statistic, which the returned
     # nodes then equal
-    np.testing.assert_allclose(fake[0].value, ft.current.centroid)
-    assert fake[1].item() == pytest.approx(ft.current.radius, rel=1e-12)
+    np.testing.assert_allclose(fake[0].value, ft.centroid)
+    assert fake[1].item() == pytest.approx(ft.radius, rel=1e-12)
     assert fake[1].requires_grad
+
+
+@pytest.mark.parametrize("spec", [None, KernelSpec("rbf")],
+                         ids=["plain", "rbf"])
+def test_real_side_folds_constant_nodes(spec):
+    # the real triple is constant nodes, and folding them gives the bits
+    # that float arithmetic on the mini-batch radius's value gives
+    g, d = make_pair()
+    rng = np.random.default_rng(4)
+    rt, ft = ManifoldTracker(0.9), ManifoldTracker(0.9)
+    for _ in range(3):
+        feat_real = constant(d.forward_values(rng.normal(size=(8, 2)))[1])
+        _, feat_fake = d.forward(g.forward(rng.normal(size=(8, 2)))[0])
+        old = rt.radius
+        r_mini = batch_stats(spec, feat_real)[1].item()
+        real, fake = update_trackers(spec, feat_real, feat_fake, rt, ft)
+        assert not real[1].requires_grad and fake[1].requires_grad
+        assert real[0] is None if spec else not real[0].requires_grad
+        want = r_mini if old is None else 0.9 * old + (1.0 - 0.9) * r_mini
+        assert real[1].item() == want and rt.radius == want
 
 
 def test_tracker_fold_uninitialized_passes_mini_through():
@@ -561,29 +582,29 @@ def test_tracker_fold_uninitialized_passes_mini_through():
     c_mini, r_mini = parameter(np.array([0.5, -1.0, 2.0])), parameter(0.75)
     c, r = tracker_update(t, c_mini, r_mini)
     assert c is c_mini and r is r_mini
-    assert np.array_equal(t.current.centroid, c_mini.value)
-    assert t.current.radius == 0.75
+    assert np.array_equal(t.centroid, c_mini.value)
+    assert t.radius == 0.75
 
 
 def test_tracker_fold_hand_case():
     feats = parameter(np.array([[1.0, 0.0], [3.0, 0.0]]))  # c_mini=(2,0), r_mini=1
     t = ManifoldTracker(0.9)
-    t.current = SphereManifold(np.array([0.0, 0.0]), 3.0)
+    t.centroid, t.radius = np.array([0.0, 0.0]), 3.0
     c_mini, r_mini, _ = batch_stats(None, feats)
     c, r = tracker_update(t, c_mini, r_mini)
     np.testing.assert_allclose(c.value, [0.2, 0.0])
     assert r.item() == pytest.approx(0.9 * 3.0 + 0.1 * 1.0)
-    assert np.array_equal(t.current.centroid, c.value)
-    assert t.current.radius == r.item()
+    assert np.array_equal(t.centroid, c.value)
+    assert t.radius == r.item()
     # gradients flow through the mini-batch term alone
     params = {"feats": feats}
     np.testing.assert_allclose(gradients(r, params)["feats"],
                                0.1 * gradients(r_mini, params)["feats"])
     # with a kernel only the radius is kept and blended, here the linear
     # kernel's mean squared distance 1
-    t.current = SphereManifold(None, 3.0)
+    t.centroid, t.radius = None, 3.0
     c, r = tracker_update(t, None, batch_stats(KernelSpec("linear"), feats)[1])
-    assert c is None and t.current.centroid is None
+    assert c is None and t.centroid is None
     assert r.item() == pytest.approx(0.9 * 3.0 + 0.1 * 1.0)
 
 
