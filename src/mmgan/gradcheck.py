@@ -1,7 +1,7 @@
 """Finite-difference verification of the generator loss gradients.
 
 Each variant assembles the generator's pipeline on tiny nets (G 2-16-8-2,
-D 2-16-8 ending at its feature tap, batch 8) and compares
+D's feature layers 2-16-8, batch 8) and compares
 d(l_g_final)/d(G parameters) against central differences. Hidden
 activations are tanh so the loss is smooth at the probe scale; relu kinks
 would charge the comparison with subgradient noise unrelated to the graph
@@ -16,12 +16,12 @@ hinge is 0, so each seed's batches are redrawn from its generator until
 the fake batch is more correlated than the real one (seed 0 needs one
 draw). A non-finite error fails its row.
 
-Each loss evaluation computes only what l_g_final reads. D keeps its
-layers through the feature tap, since the objective never reads D's
-output; the 8-1 output layer is still drawn from the seed's generator, and
-dropped, so every seed keeps the batches it always drew. D's real features,
-their statistics (`loss.batch_stats`, the form training builds) and a
-``+rg`` row's real rg_score depend on no parameter of G: each variant
+Each loss evaluation computes only what l_g_final reads. D is the net of
+its layers but the last, as in training, since the objective never reads
+D's output; the 8-1 output layer is still drawn from the seed's generator,
+and dropped, so every seed keeps the batches it always drew. D's real
+features, their statistics (`loss.batch_stats`, the form training builds)
+and a ``+rg`` row's real rg_score depend on no parameter of G: each variant
 computes them once, the same bits that recomputing them per evaluation gives.
 """
 
@@ -71,15 +71,14 @@ def _config(name: str, alpha: float, beta: float,
 
 def _build(seed: int) -> tuple:
     rng = np.random.default_rng(seed)
-    g_net = Network.create((2, 16, 8, 2), hidden_activation="tanh",
-                           feature_tap_index=2, rng=rng)
+    g_net = Network.create((2, 16, 8, 2), hidden_activation="tanh", rng=rng)
     d_net = Network(Network.create((2, 16, 8, 1), hidden_activation="tanh",
-                                   rng=rng).layers[:2], feature_tap_index=1)
+                                   rng=rng).layers[:2])
     for _ in range(_MAX_DRAWS):
         z = rng.standard_normal((_BATCH, 2))
         x = rng.standard_normal((_BATCH, 2))
-        fake = constant(d_net.forward_values(g_net.forward_values(z)[0])[1])
-        real = constant(d_net.forward_values(x)[1])
+        fake = constant(d_net.forward_values(g_net.forward_values(z)))
+        real = constant(d_net.forward_values(x))
         if rg_score(fake).item() > rg_score(real).item():
             return g_net, d_net, z, x
     raise ValueError(f"seed {seed}: no batches with an active correlation "
@@ -88,8 +87,7 @@ def _build(seed: int) -> tuple:
 
 def _loss_value(cfg: LossConfig, g_net: Network, d_net: Network,
                 z: np.ndarray, feat_real: Tensor, real: tuple, rg_real):
-    fake_pts, _ = g_net.forward(constant(z))
-    feat_fake = d_net.forward(fake_pts)[1]
+    feat_fake = d_net.forward(g_net.forward(constant(z)))
     return generator_terms(cfg, feat_real, feat_fake, real,
                            rg_real=rg_real).total
 
@@ -103,7 +101,7 @@ def check_variant(name: str, alpha: float = 1.0, beta: float = 1.0,
     cfg = _config(name, alpha, beta, gamma)
     g_net, d_net, z, x = _build(seed)
     # fixed under any G perturbation
-    feat_real = constant(d_net.forward_values(x)[1])
+    feat_real = constant(d_net.forward_values(x))
     args = (cfg, g_net, d_net, z, feat_real, batch_stats(cfg.kernel, feat_real),
             rg_score(feat_real) if cfg.beta > 0.0 else None)
     params = g_net.parameters()

@@ -354,29 +354,20 @@ class Layer:
 
 
 class Network:
-    """Fully connected net with a designated feature tap.
-
-    `feature_tap_index` names the layer whose post-activation output doubles
-    as the per-sample vector representation returned by forward. For a
-    discriminator this is typically the last hidden layer; a generator taps
-    its own output layer. `name` ("g", "d") prefixes the layer named in a
+    """Fully connected net: a chain of layers whose last output is the
+    net's. A discriminator's vector representation is the net of its
+    layers but the last. `name` ("g", "d") prefixes the layer named in a
     numerical error.
     """
 
-    def __init__(self, layers: list, feature_tap_index: int | None = None,
-                 name: str = ""):
+    def __init__(self, layers: list, name: str = ""):
         if not layers:
             raise ValueError("network needs at least one layer")
         for prev, nxt in zip(layers, layers[1:]):
             if prev.fan_out != nxt.fan_in:
                 raise ValueError(
                     f"layer dims do not compose: {prev.fan_out} -> {nxt.fan_in}")
-        if feature_tap_index is None:
-            feature_tap_index = len(layers) - 2 if len(layers) > 1 else 0
-        if not 0 <= feature_tap_index < len(layers):
-            raise ValueError(f"feature_tap_index {feature_tap_index} out of range")
         self.layers = layers
-        self.feature_tap_index = feature_tap_index
         self.name = name
         self._params = {}
         for i, layer in enumerate(layers):
@@ -386,7 +377,6 @@ class Network:
     @classmethod
     def create(cls, sizes, hidden_activation: str = "relu",
                out_activation: str = "identity",
-               feature_tap_index: int | None = None,
                rng: np.random.Generator | None = None,
                name: str = "") -> "Network":
         """Build from a size chain like (2, 64, 64, 1). Glorot-uniform
@@ -401,7 +391,7 @@ class Network:
             act = out_activation if i == last else hidden_activation
             layers.append(Layer(parameter(glorot_uniform(fi, fo, rng)),
                                 parameter(np.zeros(fo)), act))
-        return cls(layers, feature_tap_index, name)
+        return cls(layers, name)
 
     @property
     def in_dim(self) -> int:
@@ -410,27 +400,21 @@ class Network:
     def parameters(self) -> dict:
         return self._params
 
-    def forward(self, batch) -> tuple:
-        """Run a (n, in_dim) batch through the graph.
-
-        Returns (output, features), both Tensors; `features` is the tapped
-        layer's post-activation output. Raises NumericalError naming the
-        first layer whose output is non-finite if either comes out so.
+    def forward(self, batch) -> Tensor:
+        """Run a (n, in_dim) batch through the graph and return the last
+        layer's output. Raises NumericalError naming the first layer whose
+        output is non-finite if that output comes out so.
         """
         x = batch if isinstance(batch, Tensor) else constant(batch)
         if x.value.ndim != 2 or x.value.shape[1] != self.in_dim:
             raise ValueError(
                 f"expected batch shape (n, {self.in_dim}), got {x.value.shape}")
-        features = None
-        for i, layer in enumerate(self.layers):
+        for layer in self.layers:
             x = layer(x)
-            if i == self.feature_tap_index:
-                features = x
-        if not (np.isfinite(x.value).all() and (
-                features is x or np.isfinite(features.value).all())):
+        if not np.isfinite(x.value).all():
             raise NumericalError(
                 f"non-finite activation in {self._first_nonfinite(batch)}")
-        return x, features
+        return x
 
     def _first_nonfinite(self, batch) -> str:
         """The qualified name of the first layer whose output on batch is
@@ -443,12 +427,11 @@ class Network:
                     break
         return _qualified(self.name, f"layer{i}")
 
-    def forward_values(self, batch) -> tuple:
-        """forward under no_grad, for statistics and evaluation: returns
-        (output, features) as plain arrays."""
+    def forward_values(self, batch) -> np.ndarray:
+        """forward under no_grad, for statistics and evaluation: the output
+        as a plain array."""
         with no_grad():
-            out, features = self.forward(batch)
-        return out.value, features.value
+            return self.forward(batch).value
 
 
 class SGD:

@@ -3,12 +3,14 @@
 Layout, all little-endian:
 
     header (16 bytes): magic b"MMGP", version u32, layer count u32,
-                       feature tap index u32
+                       tap u32
     per layer: fan_in u32, fan_out u32, activation code u32,
                weight f64 row-major (fan_in * fan_out), bias f64 (fan_out)
 
-Floats are written raw, so save -> load -> save reproduces the file
-byte for byte.
+The tap field is a relic of networks that returned a hidden layer's
+output beside their own: save writes layer count - 1, and load checks that
+it is below the layer count and ignores it. Floats are written raw, so
+save -> load -> save reproduces a file written by save byte for byte.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ _LAYER = struct.Struct("<III")
 
 def save_network(net: Network, path) -> None:
     """Write net's layers to path in the format above."""
-    chunks = [_HEADER.pack(MAGIC, VERSION, len(net.layers),
-                           net.feature_tap_index)]
+    n = len(net.layers)
+    chunks = [_HEADER.pack(MAGIC, VERSION, n, n - 1)]
     for layer in net.layers:
         chunks.append(_LAYER.pack(layer.fan_in, layer.fan_out,
                                   ACTIVATIONS.index(layer.activation)))
@@ -90,4 +92,4 @@ def load_network(path) -> Network:
     if not 0 <= tap < n_layers:
         raise ValueError(f"corrupt parameter file: tap index {tap} "
                          f"with {n_layers} layers")
-    return Network(layers, feature_tap_index=tap)
+    return Network(layers)

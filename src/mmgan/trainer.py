@@ -8,7 +8,9 @@ Each step runs, in this exact order:
      batch, as a graph on G's node with D's parameters as constants, so
      that G's backward stops at the fakes, and one over the last real
      batch, as values: on every step in the matcher, on report steps only
-     in the baseline,
+     in the baseline. D's vector representation is the net of its layers
+     but the last, and these passes run only those, except the baseline's
+     fake pass, which runs all of D: its objective reads D's output,
   3. the tracker refresh (matching objective only): both batches'
      statistics are folded into the real/fake moving-average trackers, the
      fake ones read off the graph of step 2,
@@ -18,8 +20,8 @@ Each step runs, in this exact order:
   5. on report steps only (every eval_interval steps and the last), the
      step's LossReport: the matcher reads the terms step 4 descended;
      the baseline, which never optimizes them, reads the plain sphere
-     gaps of `generator_terms` over both batches' features of step 2 (step 4
-     leaves D unchanged).
+     gaps of `generator_terms` over both batches' features, the fakes'
+     from one more value pass (step 4 leaves D unchanged).
 
 Every step checks loss_d and loss_g for finiteness, and a report step
 every field of its report; the matcher's terms are non-negative, so a
@@ -123,9 +125,9 @@ def d_step(g_net: Network, d_net: Network, opt_d: SGD,
     every mode. Returns (loss_d, fake), fake being G's graph node on z:
     D trains on its value alone, so D's backward never walks G, and g_step
     differentiates the same node, since G does not change in between."""
-    fake, _ = g_net.forward(z)
-    out_real, _ = d_net.forward(x)
-    out_fake, _ = d_net.forward(fake.value)
+    fake = g_net.forward(z)
+    out_real = d_net.forward(x)
+    out_fake = d_net.forward(fake.value)
     loss_node = l_d_final(out_real, out_fake)
     opt_d.step(gradients(loss_node, d_net.parameters()))
     return loss_node.item(), fake
@@ -156,23 +158,24 @@ def update_trackers(spec: KernelSpec | None, feat_real: Tensor,
 
 
 def g_step(lc: LossConfig | None, opt_g: SGD, feat_real: Tensor | None,
-           out_fake: Tensor, feat_fake: Tensor, stats: tuple | None) -> tuple:
+           d_fake: Tensor, stats: tuple | None) -> tuple:
     """One generator update through the (fixed) discriminator's graph on
-    this step's fake node (out_fake, feat_fake), on the matching objective
-    lc with the blended (real, fake) statistics triples stats of
-    update_trackers, or with lc and stats None on the adversarial objective
-    alone (the baseline, which does not read feat_real).
+    this step's fake node d_fake: D's features on the matching objective lc
+    with the blended (real, fake) statistics triples stats of
+    update_trackers, or D's output with lc and stats None on the
+    adversarial objective alone (the baseline, which does not read
+    feat_real).
 
     Returns (loss_g, terms): the objective's value as a float, and the
     GeneratorTerms it was assembled from, None in the baseline, for the
     report to read.
     """
     if lc is None:
-        loss_node = l_g_baseline(out_fake)
+        loss_node = l_g_baseline(d_fake)
         opt_g.step(gradients(loss_node, opt_g.params))
         return loss_node.item(), None
 
-    terms = generator_terms(lc, feat_real, feat_fake, *stats)
+    terms = generator_terms(lc, feat_real, d_fake, *stats)
     opt_g.step(gradients(terms.total, opt_g.params))
     return terms.total.item(), terms
 
@@ -202,7 +205,7 @@ def _rebuild(net: Network, leaf) -> Network:
     """net's layers over the leaves leaf(array) makes of its parameters."""
     return Network([Layer(leaf(layer.weight.value), leaf(layer.bias.value),
                           layer.activation)
-                    for layer in net.layers], net.feature_tap_index, net.name)
+                    for layer in net.layers], net.name)
 
 
 def _fold_average(avg: Network, net: Network, step: int) -> None:
@@ -230,18 +233,20 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
     g_net = Network.create((cfg.latent_dim, *cfg.g_hidden, data.dim),
                            hidden_activation="relu",
                            out_activation=cfg.g_out_activation,
-                           feature_tap_index=len(cfg.g_hidden),
                            rng=np.random.default_rng(ss_g), name="g")
     d_net = Network.create((data.dim, *cfg.d_hidden, 1),
                            hidden_activation="relu", out_activation="sigmoid",
                            rng=np.random.default_rng(ss_d), name="d")
     opt_g = SGD(g_net.parameters(), cfg.lr_g, cfg.momentum_g, g_net.name)
     opt_d = SGD(d_net.parameters(), cfg.lr_d, cfg.momentum_d, d_net.name)
-    # D as constants over its own arrays, which SGD updates in place: the
-    # pass g_step differentiates reads D's current weights, and G's
-    # backward stops at the fakes instead of forming D's weight gradients
-    d_const = _rebuild(d_net, constant)
     lc = None if cfg.baseline else cfg.loss_config()
+    # D's vector representation: its layers but the last, the same objects
+    d_feat = Network(d_net.layers[:-1], d_net.name)
+    # what G's objective reads of D, as constants over D's own arrays, which
+    # SGD updates in place: the pass g_step differentiates reads D's
+    # current weights, and G's backward stops at the fakes instead of
+    # forming D's weight gradients
+    d_const = _rebuild(d_net if lc is None else d_feat, constant)
     real_tracker = ManifoldTracker(cfg.delta)
     fake_tracker = ManifoldTracker(cfg.delta)
     g_avg = _rebuild(g_net, lambda value: parameter(value.copy()))
@@ -256,15 +261,18 @@ def train(cfg: RunConfig, data: DatasetHandle, on_eval=None) -> TrainResult:
                 loss_d, fake = d_step(g_net, d_net, opt_d, x, z)
             # the updated discriminator's one pass over each batch it reads;
             # the trackers, the objective and the report share the real node
-            real = (constant(d_net.forward_values(x)[1])
+            real = (constant(d_feat.forward_values(x))
                     if lc is not None or reporting else None)
-            out_fake, feat_fake = d_const.forward(fake)
+            d_fake = d_const.forward(fake)
             stats = None if lc is None else update_trackers(
-                lc.kernel, real, feat_fake, real_tracker, fake_tracker)
-            loss_g, terms = g_step(lc, opt_g, real, out_fake, feat_fake, stats)
+                lc.kernel, real, d_fake, real_tracker, fake_tracker)
+            loss_g, terms = g_step(lc, opt_g, real, d_fake, stats)
             _fold_average(g_avg, g_net, step)
             _require_finite(loss_g=loss_g, loss_d=loss_d)
             if reporting:
+                # the baseline's objective read D's output, not its features
+                feat_fake = d_fake if lc is not None else constant(
+                    d_feat.forward_values(fake.value))
                 history.append(_report(step, loss_d, loss_g, terms, real,
                                        feat_fake))
                 if on_eval is not None:
@@ -287,7 +295,7 @@ def draw_eval_batch(generator: Network, data: DatasetHandle, n_samples: int,
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, step, _EVAL_STREAM_TAG]))
     z = rng.standard_normal((n_samples, generator.in_dim))
-    fake = generator.forward_values(z)[0]
+    fake = generator.forward_values(z)
     real = sample_batch(data, n_samples, rng)
     return fake, real
 

@@ -81,10 +81,10 @@ def test_rg_variants_check_an_active_penalty(name, seed):
     # a zero hinge has no gradient, which would leave the +rg row checking
     # nothing beyond its base row
     g_net, d_net, z, x = _build(seed)
-    fake = g_net.forward_values(z)[0]
+    fake = g_net.forward_values(z)
     terms = generator_terms(_config(name, 1.0, 1.0, None),
-                            constant(d_net.forward_values(x)[1]),
-                            constant(d_net.forward_values(fake)[1]))
+                            constant(d_net.forward_values(x)),
+                            constant(d_net.forward_values(fake)))
     assert terms.rg.item() > 0
 
 
@@ -95,8 +95,8 @@ def test_gradcheck_checks_the_trainer_objective(base):
     # gradcheck differentiates, bit for bit
     cfg = _config(base + "+rg", 1.0, 1.0, None)
     g_net, d_net, z, x = _build(0)
-    fr = d_net.forward(constant(x))[1]
-    ff = d_net.forward(g_net.forward(constant(z))[0])[1]
+    fr = d_net.forward(constant(x))
+    ff = d_net.forward(g_net.forward(constant(z)))
     trained = generator_terms(cfg, fr, ff, *update_trackers(
         cfg.kernel, constant(fr.value), ff, ManifoldTracker(0.9),
         ManifoldTracker(0.9)))
@@ -135,17 +135,17 @@ def _full_d(seed: int):
     """The seed's D with its 8-1 sigmoid output layer, drawn after G as
     gradcheck draws them, independently of _build."""
     rng = np.random.default_rng(seed)
-    Network.create((2, 16, 8, 2), hidden_activation="tanh",
-                   feature_tap_index=2, rng=rng)
+    Network.create((2, 16, 8, 2), hidden_activation="tanh", rng=rng)
     return Network.create((2, 16, 8, 1), hidden_activation="tanh",
                           out_activation="sigmoid", rng=rng)
 
 
 @pytest.mark.parametrize("name", variant_names())
 def test_hoisted_real_side_gives_the_full_objective(monkeypatch, name):
-    # the real side check_variant computes once, and D cut at its feature
-    # tap, give the bits of the full objective over the full D, which a G
-    # perturbation would recompute: value and G gradients
+    # the real side check_variant computes once, and D cut to its first
+    # two layers, give the bits of the full objective over the
+    # representation the trainer takes of the full D, its layers but the
+    # last, which a G perturbation would recompute: value and G gradients
     calls = _recorded_loss_values(monkeypatch)
     check_variant(name, seed=1)
     cfg, g_net, d_net, z, feat_real, real, rg_real = calls[0]
@@ -157,8 +157,9 @@ def test_hoisted_real_side_gives_the_full_objective(monkeypatch, name):
     hoisted = gradcheck_mod._loss_value(*calls[0])
     d_full = _full_d(1)
     assert len(d_full.layers) == 3 and len(d_net.layers) == 2
-    full = generator_terms(cfg, d_full.forward(constant(x))[1],
-                           d_full.forward(g_net.forward(constant(z))[0])[1])
+    d_feat = Network(d_full.layers[:-1])
+    full = generator_terms(cfg, d_feat.forward(constant(x)),
+                           d_feat.forward(g_net.forward(constant(z))))
     assert hoisted.value.tobytes() == full.total.value.tobytes()
     want = gradients(full.total, params)
     for key, grad in gradients(hoisted, params).items():
@@ -195,7 +196,7 @@ def test_each_loss_evaluation_runs_only_what_the_loss_reads(monkeypatch,
     g_layers, d_layers = evals[0][0][1].layers, evals[0][0][2].layers
     feat_real = evals[0][0][4]
     for args, layers, scores in evals:
-        # G's three layers, then D's two up to its feature tap
+        # G's three layers, then D's two feature layers
         assert len(layers) == 5
         assert all(a is b for a, b in zip(layers, [*g_layers, *d_layers]))
         # the fake batch's score alone

@@ -213,7 +213,7 @@ def test_sigmoid_extremes_finite():
     # finite where a naive 1 / (1 + exp(-x)) overflows
     net = Network([Layer(parameter([[1.0]]), parameter([0.0]), "sigmoid")])
     x = parameter([[-800.0], [800.0], [0.0]])
-    s, _ = net.forward(x)
+    s = net.forward(x)
     np.testing.assert_allclose(s.value, [[0.0], [1.0], [0.5]], atol=1e-12)
     grads = backward(s.sum())
     assert all(np.isfinite(grads[t]).all()
@@ -253,13 +253,18 @@ def test_glorot_bounds_and_determinism():
     np.testing.assert_array_equal(w1, w2)
 
 
-def test_network_shapes_and_tap():
-    net = Network.create((2, 16, 8, 1), rng=np.random.default_rng(0))
+def test_network_shapes_and_representation():
+    net = Network.create((2, 16, 8, 1), rng=np.random.default_rng(0),
+                         name="d")
     assert net.in_dim == 2 and net.layers[-1].fan_out == 1
-    assert net.feature_tap_index == 1  # last hidden by default
-    out, feats = net.forward(np.zeros((5, 2)))
-    assert out.shape == (5, 1)
-    assert feats.shape == (5, 8)
+    out = net.forward(np.zeros((5, 2)))
+    assert isinstance(out, Tensor) and out.shape == (5, 1)
+    # a discriminator's representation: the net of its layers but the
+    # last, holding the same parameter objects under the same names
+    feats = Network(net.layers[:-1], net.name)
+    assert feats.forward(np.zeros((5, 2))).shape == (5, 8)
+    assert feats.parameters() == {
+        k: p for k, p in net.parameters().items() if not k.startswith("layer2")}
 
 
 def test_network_rejects_bad_batch():
@@ -297,10 +302,9 @@ def test_forward_values_matches_graph_forward():
     rng = np.random.default_rng(3)
     net = Network.create((3, 8, 8, 2), hidden_activation="tanh", rng=rng)
     x = rng.normal(size=(6, 3))
-    out_g, feat_g = net.forward(x)
-    out_v, feat_v = net.forward_values(x)
-    np.testing.assert_array_equal(out_g.value, out_v)
-    np.testing.assert_array_equal(feat_g.value, feat_v)
+    out_v = net.forward_values(x)
+    assert isinstance(out_v, np.ndarray)
+    np.testing.assert_array_equal(net.forward(x).value, out_v)
 
 
 @pytest.mark.parametrize("act", ACTIVATIONS)
@@ -342,8 +346,10 @@ def test_network_gradient_fd(act):
             assert np.abs(pre).min() > 1e-3
             h = np.maximum(pre, 0.0)
 
+    hidden = Network(net.layers[:-1])
+
     def loss_node():
-        out, feats = net.forward(x)
+        out, feats = net.forward(x), hidden.forward(x)
         return (out * out).mean() + 0.1 * (feats * feats).sum()
 
     analytic = gradients(loss_node(), params)
@@ -356,7 +362,7 @@ def test_network_gradient_fd(act):
 def test_every_activation_runs_and_differentiates(act):
     net = Network.create((2, 5, 2), hidden_activation=act, out_activation=act,
                          rng=np.random.default_rng(1))
-    out, _ = net.forward(np.random.default_rng(2).normal(size=(4, 2)))
+    out = net.forward(np.random.default_rng(2).normal(size=(4, 2)))
     g = gradients((out * out).sum(), net.parameters())
     assert all(np.isfinite(v).all() for v in g.values())
 
@@ -388,14 +394,13 @@ def test_no_grad_records_nothing_and_restores():
     net = Network.create((2, 5, 1), rng=np.random.default_rng(0))
     x = np.random.default_rng(1).normal(size=(4, 2))
     with no_grad():
-        out, feats = net.forward(x)
-    for t in (out, feats):
-        assert isinstance(t, Tensor)
-        assert t.parents == () and not t.requires_grad
+        out = net.forward(x)
+    assert isinstance(out, Tensor)
+    assert out.parents == () and not out.requires_grad
     with pytest.raises(RuntimeError, match="inside"):
         with no_grad():
             raise RuntimeError("inside")
-    out, _ = net.forward(x)
+    out = net.forward(x)
     assert out.requires_grad and out.parents
 
 

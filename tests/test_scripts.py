@@ -119,3 +119,8 @@ def test_bench_protocol_run_returns_its_wall_time():
     # times it in; later flags override the command's
     bench = load_script("bench")
     assert bench.run_protocol(["--steps", "20", "--seeds", "0"]) > 0.0
+
+
+def test_src_stays_within_its_size_budget():
+    # the line budget of src/mmgan, counted as every BENCH record counts it
+    assert load_script("bench").src_lines() <= 2500

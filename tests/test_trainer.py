@@ -10,10 +10,10 @@ import mmgan.trainer as trainer_mod
 from mmgan.config import RunConfig
 from mmgan.data import DatasetHandle, make_dataset
 from mmgan.kernel import KernelSpec, kernel_radius
-from mmgan.loss import batch_stats, rg_score
+from mmgan.loss import LossConfig, batch_stats, generator_terms, rg_score
 from mmgan.manifold import ManifoldTracker, tracker_update
-from mmgan.neural import (Network, NumericalError, SGD, Tensor, constant,
-                          gradients, parameter)
+from mmgan.neural import (Layer, Network, NumericalError, SGD, Tensor,
+                          constant, gradients, parameter)
 from mmgan.trainer import (
     TrainResult,
     d_step,
@@ -160,13 +160,13 @@ def test_g_step_blend_value_coincides_with_tracker(monkeypatch, loss_keys):
         trackers[:] = [rt, ft]
         return orig_t(spec, feat_real, feat_fake, rt, ft)
 
-    def spy_g(lc, opt_g, feat_real, out_fake, feat_fake, stats):
+    def spy_g(lc, opt_g, feat_real, feat_fake, stats):
         rt, ft = trackers
         c_fake, r_fake, _ = stats[1]
         blend_c = None if c_fake is None else c_fake.value
         seen.append((blend_c, r_fake.item(), (ft.centroid, ft.radius),
                      rt.centroid))
-        return orig_g(lc, opt_g, feat_real, out_fake, feat_fake, stats)
+        return orig_g(lc, opt_g, feat_real, feat_fake, stats)
 
     monkeypatch.setattr(trainer_mod, "update_trackers", spy_t)
     monkeypatch.setattr(trainer_mod, "g_step", spy_g)
@@ -234,14 +234,17 @@ ARMS = {"rbf": dict(kernel="rbf", beta=1.0),
 
 @pytest.mark.parametrize("keys, per_step, report_extra, backward_nodes, tensors", [
     (ARMS["rbf"],
-     dict(forward=5, forward_values=1, mean_gram=3, kernel_radius=2, r_g=2),
-     {}, [10, 27], (46, 46)),
+     dict(forward=5, forward_values=1, layer=8, mean_gram=3, kernel_radius=2,
+          r_g=2),
+     {}, [10, 27], (44, 44)),
     (ARMS["rbf-beta0"],
-     dict(forward=5, forward_values=1, mean_gram=3, kernel_radius=2, r_g=0),
-     dict(r_g=1), [10, 21], (38, 40)),
+     dict(forward=5, forward_values=1, layer=8, mean_gram=3, kernel_radius=2,
+          r_g=0),
+     dict(r_g=1), [10, 21], (36, 38)),
     (ARMS["baseline"],
-     dict(forward=4, forward_values=0, mean_gram=0, kernel_radius=0, r_g=0),
-     dict(forward=1, forward_values=1, r_g=1), [10, 9], (14, 44)),
+     dict(forward=4, forward_values=0, layer=8, mean_gram=0, kernel_radius=0,
+          r_g=0),
+     dict(forward=2, forward_values=2, layer=2, r_g=1), [10, 9], (14, 46)),
 ], ids=list(ARMS))
 def test_work_per_step(monkeypatch, keys, per_step, report_extra,
                        backward_nodes, tensors):
@@ -250,10 +253,12 @@ def test_work_per_step(monkeypatch, keys, per_step, report_extra,
     # batch's mean Gram shared by its radius and the MMD^2, and the fake
     # rg_score shared by the penalty and the report; r_g, l_orig and
     # l_g_baseline are one node each, and G's backward holds no D
-    # parameter. Only a report step does what the report alone reads: the
-    # baseline's pass of the updated D over the real batch and its
-    # matching terms, and the fake rg_score of the baseline and of beta 0.
-    # Each rg_score reads its batch's node as given, lifting no constant.
+    # parameter. After D's update the matcher runs D's feature layers
+    # alone, on both batches. Only a report step does what the report alone
+    # reads: the baseline's value passes of D's feature layers over both
+    # batches and its matching terms, and the fake rg_score of the
+    # baseline and of beta 0. Each rg_score reads its batch's node as
+    # given, lifting no constant.
     counts = dict.fromkeys(per_step, 0)
 
     def count(owner, name, key):
@@ -268,6 +273,7 @@ def test_work_per_step(monkeypatch, keys, per_step, report_extra,
     # forward_values runs a forward too, which counts as one
     count(Network, "forward", "forward")
     count(Network, "forward_values", "forward_values")
+    count(Layer, "__call__", "layer")
     # loss.batch_stats calls mean_gram under the loss module's name
     count(kernel_mod, "mean_gram", "mean_gram")
     count(loss_mod, "mean_gram", "mean_gram")
@@ -310,6 +316,22 @@ def test_work_per_step(monkeypatch, keys, per_step, report_extra,
     assert [t for _, t in per[1:]] == [tensors[0]] * (steps - 2) + [tensors[1]]
 
 
+@pytest.mark.parametrize("keys, layer_calls", [
+    (ARMS["rbf"], 1300), (ARMS["baseline"], 1204)], ids=["rbf", "baseline"])
+def test_layer_calls_at_ring8_shapes(monkeypatch, keys, layer_calls):
+    # at the default nets, G 2-64-64-2 and D 2-64-16-1, a step's D update
+    # runs 9 layers: G's 3 and all of D's on each batch. The matcher then
+    # runs D's 2 feature layers on each batch, and the baseline all of D on
+    # the fakes alone, plus D's feature layers on both batches of the one
+    # report step
+    calls = []
+    exact = Layer.__call__
+    monkeypatch.setattr(Layer, "__call__",
+                        lambda self, x: (calls.append(1), exact(self, x))[1])
+    train(RunConfig(steps=100, seed=1, **keys), make_dataset("ring8"))
+    assert len(calls) == layer_calls
+
+
 @pytest.mark.parametrize("keys", ARMS.values(), ids=list(ARMS))
 def test_reporting_does_not_steer_training(keys):
     # reporting on every step or on every fourth gives the same weights,
@@ -347,18 +369,25 @@ def _poison(net, layer):
 
 @pytest.mark.parametrize("keys", ARMS.values(), ids=list(ARMS))
 def test_nonfinite_on_a_non_report_step_aborts_at_that_step(monkeypatch, keys):
-    # step 6 reports nothing at eval_interval 4; the abort still names it
+    # step 6 reports nothing at eval_interval 4; the abort still names it.
+    # A NaN put into D's feature layer after step 6's D update aborts step
+    # 6's passes in every arm. One put into D's output layer aborts step 6
+    # in the baseline, whose objective reads D's output, and step 7's D
+    # update in the matcher, whose post-update passes run D's feature
+    # layers alone
     cfg = tiny_cfg(steps=12, eval_interval=4, **keys)
+    output_step = 6 if keys.get("baseline") else 7
+    for layer, step in ((0, 6), (1, output_step)):
+        def poison_updated_d(args, out, layer=layer):  # d_step(g, d, ...)
+            _poison(args[1], layer)
+            return out
 
-    def poison_updated_d(args, out):  # d_step(g_net, d_net, ...)
-        _poison(args[1], 1)
-        return out
-
-    monkeypatch.setattr(trainer_mod, "d_step",
-                        _on_call(6, d_step, after=poison_updated_d))
-    with pytest.raises(NumericalError,
-                       match=r"^non-finite activation in d\.layer1 \(step 6\)$"):
-        train(cfg, make_dataset("ring8"))
+        monkeypatch.setattr(trainer_mod, "d_step",
+                            _on_call(6, d_step, after=poison_updated_d))
+        with pytest.raises(NumericalError, match=(
+                rf"^non-finite activation in d\.layer{layer} "
+                rf"\(step {step}\)$")):
+            train(cfg, make_dataset("ring8"))
 
     def nan_loss_g(args, out):
         return np.nan, out[1]
@@ -421,16 +450,42 @@ def test_shared_values_equal_a_fresh_value_pass(monkeypatch):
     spec = cfg.loss_config().kernel
     # the last step's batches, and its D, which g_step leaves unchanged
     x, fake = batches[-1]
-    d = res.discriminator
+    d = representation(res.discriminator)
     mini_real, mini_fake = minis[-2:]
-    feat_fake = d.forward_values(fake)[1]
+    feat_fake = d.forward_values(fake)
     # each radius is the node the blend is built on
-    feat_real = constant(d.forward_values(x)[1])
+    feat_real = constant(d.forward_values(x))
     assert np.array_equal(mini_fake.value,
                           kernel_radius(spec, constant(feat_fake)).value)
     assert np.array_equal(mini_real.value, kernel_radius(spec, feat_real).value)
     assert np.array_equal(res.history[-1].r_g,
                           rg_score(constant(feat_fake)).item())
+
+
+def test_baseline_report_equals_a_fresh_value_pass(monkeypatch):
+    # the baseline's report reads the plain sphere gaps and the fake
+    # rg_score of D's representation of the step's batches: bit for bit
+    # those of an independent value pass of D's feature layers
+    batches = []
+    orig_d = d_step
+
+    def spy_d(g_net, d_net, opt_d, x, z):
+        out = orig_d(g_net, d_net, opt_d, x, z)
+        batches.append((x, out[1].value))
+        return out
+
+    monkeypatch.setattr(trainer_mod, "d_step", spy_d)
+    res = train(tiny_cfg(steps=3, baseline=True), make_dataset("ring8"))
+    assert [r.step for r in res.history] == [2, 3]
+    x, fake = batches[-1]
+    d = representation(res.discriminator)
+    feat_real = constant(d.forward_values(x))
+    feat_fake = constant(d.forward_values(fake))
+    terms = generator_terms(LossConfig(beta=0.0), feat_real, feat_fake)
+    report = res.history[-1]
+    assert report.manifold_term == terms.manifold.item()
+    assert report.radius_term == terms.radius.item()
+    assert report.r_g == rg_score(feat_fake).item()
 
 
 @pytest.mark.parametrize("keys", [dict(kernel="rbf"), dict(baseline=True)],
@@ -452,11 +507,13 @@ def test_g_backward_stops_at_the_fakes(monkeypatch, keys):
         seen.update(g=g_net, d=d_net, fake=fake.value)
         return loss_d, fake
 
-    def spy_g(lc, opt_g, feat_real, out_fake, feat_fake, stats):
-        out, feat = seen["d"].forward_values(seen["fake"])
-        same.append(np.array_equal(out, out_fake.value)
-                    and np.array_equal(feat, feat_fake.value))
-        result = orig_g(lc, opt_g, feat_real, out_fake, feat_fake, stats)
+    def spy_g(lc, opt_g, feat_real, d_fake, stats):
+        # the matcher's objective reads D's representation, the baseline's
+        # D's output
+        d = seen["d"] if lc is None else representation(seen["d"])
+        same.append(np.array_equal(d.forward_values(seen["fake"]),
+                                   d_fake.value))
+        result = orig_g(lc, opt_g, feat_real, d_fake, stats)
         g_tapes.append(tapes[-1])
         return result
 
@@ -486,10 +543,15 @@ def test_on_eval_fires_at_interval_and_final_step():
 
 def make_pair(seed=0):
     rng = np.random.default_rng(seed)
-    g = Network.create((2, 8, 2), out_activation="identity",
-                       feature_tap_index=1, rng=rng)
+    g = Network.create((2, 8, 2), out_activation="identity", rng=rng)
     d = Network.create((2, 8, 1), out_activation="sigmoid", rng=rng)
     return g, d
+
+
+def representation(d):
+    """D's vector representation, as the trainer takes it: the net of its
+    layers but the last."""
+    return Network(d.layers[:-1], d.name)
 
 
 def snapshot(net):
@@ -522,12 +584,13 @@ def test_g_step_touches_only_generator():
     rng = np.random.default_rng(2)
     x, z = rng.normal(size=(8, 2)), rng.normal(size=(8, 2))
     rt, ft = ManifoldTracker(0.9), ManifoldTracker(0.9)
-    feat_real = constant(d.forward_values(x)[1])
-    out_fake, feat_fake = d.forward(g.forward(z)[0])
+    feats = representation(d)
+    feat_real = constant(feats.forward_values(x))
+    feat_fake = feats.forward(g.forward(z))
     stats = update_trackers(None, feat_real, feat_fake, rt, ft)
     gs, ds = snapshot(g), snapshot(d)
-    loss_g, terms = g_step(cfg.loss_config(), opt_g, feat_real, out_fake,
-                           feat_fake, stats)
+    loss_g, terms = g_step(cfg.loss_config(), opt_g, feat_real, feat_fake,
+                           stats)
     assert changed(g, gs) and not changed(d, ds)
     # the objective's value, and the terms it was assembled from
     assert loss_g == terms.total.item()
@@ -539,8 +602,9 @@ def test_update_trackers_initializes_both():
     g, d = make_pair()
     rng = np.random.default_rng(3)
     x = rng.normal(size=(8, 2))
-    feat_real = constant(d.forward_values(x)[1])
-    _, feat_fake = d.forward(g.forward(rng.normal(size=(8, 2)))[0])
+    feats = representation(d)
+    feat_real = constant(feats.forward_values(x))
+    feat_fake = feats.forward(g.forward(rng.normal(size=(8, 2))))
     rt, ft = ManifoldTracker(0.9), ManifoldTracker(0.9)
     real, fake = update_trackers(None, feat_real, feat_fake, rt, ft)
     assert rt.radius is not None and ft.radius is not None
@@ -563,11 +627,12 @@ def test_real_side_folds_constant_nodes(spec):
     # the real triple is constant nodes, and folding them gives the bits
     # that float arithmetic on the mini-batch radius's value gives
     g, d = make_pair()
+    feats = representation(d)
     rng = np.random.default_rng(4)
     rt, ft = ManifoldTracker(0.9), ManifoldTracker(0.9)
     for _ in range(3):
-        feat_real = constant(d.forward_values(rng.normal(size=(8, 2)))[1])
-        _, feat_fake = d.forward(g.forward(rng.normal(size=(8, 2)))[0])
+        feat_real = constant(feats.forward_values(rng.normal(size=(8, 2))))
+        feat_fake = feats.forward(g.forward(rng.normal(size=(8, 2))))
         old = rt.radius
         r_mini = batch_stats(spec, feat_real)[1].item()
         real, fake = update_trackers(spec, feat_real, feat_fake, rt, ft)
@@ -646,8 +711,7 @@ def test_evaluate_deterministic_and_validates():
 
 
 def test_evaluate_without_mode_centers_zeroes_mode_metrics():
-    g = Network.create((2, 8, 4), feature_tap_index=1,
-                       rng=np.random.default_rng(0))
+    g = Network.create((2, 8, 4), rng=np.random.default_rng(0))
     images = np.zeros((10, 4))
     handle = DatasetHandle("idx", 4, None, 0.0, images=images)
     row = score_samples(*draw_eval_batch(g, handle, 50), handle)
