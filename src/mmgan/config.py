@@ -27,12 +27,14 @@ KERNEL_CHOICES = ("none", *KERNEL_KINDS)
 CHOICES = {"dataset": DATASETS, "kernel": KERNEL_CHOICES,
            "g_out_activation": ACTIVATIONS}
 OUT_ENV = "MMGAN_OUT"
-# An evaluation's peak memory is r_g's n x n matrices on idx, about
-# 2.7 * n^2 * 8 bytes (184 MB at n=3000, 784 columns): 2 GB at this bound.
+# Peaks below are tracemalloc's. An idx evaluation of n samples peaks at
+# about 2 * n^2 * 8 bytes for r_g's n x n matrices plus 27 kB a sample for
+# the n x 784 float64 batches (222 MB at n=3000): 1.9 GB at this bound.
+# The dataset itself is 1 byte a pixel, uint8, scaled a batch at a time.
 MAX_EVAL_SAMPLES = 10_000
-# A training step's peak memory is about 5.5 * n^2 * 8 bytes at batch n
-# (the kernel's mean Grams and r_g's matrices; 46 MB at n=1024 under rbf):
-# 740 MB at this bound.
+# A training step peaks at about 8 * n^2 * 8 bytes at batch n under rbf
+# (the kernel's Grams, r_g's matrices and their gradients; 75 MB at
+# n=1024, 285 MB at n=2048): 1.1 GB at this bound.
 MAX_BATCH = 4096
 # A layer w wide on both sides holds about four w x w float64 arrays (the
 # weights, their gradient, SGD's velocity and, in G, the average): 128 MB

@@ -45,14 +45,15 @@ class DatasetHandle:
     """Everything sampling and metrics need to know about one dataset.
 
     mode_centers is None for image data, where coverage metrics do not
-    apply.
+    apply. pixels holds image data as stored, uint8 (count, dim) at one
+    byte a pixel; sample_batch scales only the rows it draws.
     """
 
     kind: str
     dim: int
     mode_centers: np.ndarray | None
     mode_sigma: float
-    images: np.ndarray | None = None
+    pixels: np.ndarray | None = None
 
 
 def _ring8_centers() -> np.ndarray:
@@ -96,9 +97,9 @@ def sample_batch(handle: DatasetHandle, n: int, rng: np.random.Generator) -> np.
         radii = np.asarray(RINGS2_RADII)[ring]
         pts = radii[:, None] * np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return pts + rng.normal(0.0, handle.mode_sigma, size=(n, 2))
-    if handle.images is not None:
-        rows = rng.integers(0, len(handle.images), size=n)
-        return handle.images[rows]  # fancy indexing returns a fresh array
+    if handle.pixels is not None:
+        rows = rng.integers(0, len(handle.pixels), size=n)
+        return scale_pixels(handle.pixels[rows])
     raise ValueError(f"cannot sample from dataset kind {handle.kind!r}")
 
 
@@ -116,8 +117,8 @@ def load_idx(images_path) -> DatasetHandle:
     """Read a big-endian IDX image file, gzipped or not.
 
     The magic number 2051 is enforced, and the payload must hold the
-    header's count x rows x cols bytes. Pixels come back scaled to
-    [-1, 1], flattened to (count, rows*cols).
+    header's count x rows x cols bytes. Pixels stay uint8, a read-only
+    (count, rows*cols) view of the bytes read; batches are scaled as drawn.
     """
     # read what the file holds, never what the header claims: a forged
     # header may name more bytes than any buffer can hold
@@ -140,5 +141,5 @@ def load_idx(images_path) -> DatasetHandle:
         raise ValueError(f"{images_path}: truncated idx image payload")
     pixels = np.frombuffer(raw, dtype=np.uint8, count=size,
                            offset=_IDX_HEADER.size)
-    images = scale_pixels(pixels.reshape(count, rows * cols))
-    return DatasetHandle("idx", rows * cols, None, 0.0, images=images)
+    return DatasetHandle("idx", rows * cols, None, 0.0,
+                         pixels=pixels.reshape(count, rows * cols))

@@ -1,5 +1,6 @@
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,17 +111,18 @@ def test_load_idx_parses_and_scales(tmp_path):
     p = tmp_path / "imgs.idx"
     p.write_bytes(idx_images_bytes(PIXELS))
     h = load_idx(p)
-    assert h.kind == "idx" and h.dim == 4 and h.images.shape == (2, 4)
+    assert h.kind == "idx" and h.dim == 4 and h.pixels.shape == (2, 4)
     assert h.mode_centers is None
-    np.testing.assert_allclose(h.images[0], [-1.0, -0.6, 0.6, 1.0], atol=1e-15)
-    np.testing.assert_allclose(h.images[1], [1.0, -1.0, -1.0, 1.0], atol=1e-15)
+    scaled = scale_pixels(h.pixels)
+    np.testing.assert_allclose(scaled[0], [-1.0, -0.6, 0.6, 1.0], atol=1e-15)
+    np.testing.assert_allclose(scaled[1], [1.0, -1.0, -1.0, 1.0], atol=1e-15)
 
 
 def test_load_idx_gzip_by_suffix(tmp_path):
     p = tmp_path / "imgs.idx.gz"
     p.write_bytes(gzip.compress(idx_images_bytes(PIXELS)))
-    h = load_idx(p)
-    np.testing.assert_allclose(h.images[0], [-1.0, -0.6, 0.6, 1.0], atol=1e-15)
+    scaled = scale_pixels(load_idx(p).pixels)
+    np.testing.assert_allclose(scaled[0], [-1.0, -0.6, 0.6, 1.0], atol=1e-15)
 
 
 def test_load_idx_rejects_wrong_magic(tmp_path):
@@ -143,8 +145,7 @@ def test_load_idx_rejects_truncations(tmp_path):
 def test_load_idx_ignores_trailing_bytes(tmp_path):
     p = tmp_path / "i.idx"
     p.write_bytes(idx_images_bytes(PIXELS) + bytes(3))
-    np.testing.assert_array_equal(load_idx(p).images,
-                                  scale_pixels(PIXELS.reshape(2, 4)))
+    np.testing.assert_array_equal(load_idx(p).pixels, PIXELS.reshape(2, 4))
 
 
 def test_sample_batch_from_idx(tmp_path):
@@ -154,19 +155,64 @@ def test_sample_batch_from_idx(tmp_path):
     s = sample_batch(h, 10, np.random.default_rng(0))
     assert s.shape == (10, 4)
     for row in s:
-        assert any(np.allclose(row, img) for img in h.images)
+        assert any(np.allclose(row, img) for img in scale_pixels(h.pixels))
 
 
 def test_idx_batch_is_its_own_array(tmp_path):
     # the drawn rows, in a fresh array: writing to a batch leaves the
     # dataset as it was
     rng = np.random.default_rng(3)
-    images = rng.uniform(-1.0, 1.0, size=(50, 6))
-    h = DatasetHandle("idx", 6, None, 0.0, images=images)
+    pixels = rng.integers(0, 256, size=(50, 6), dtype=np.uint8)
+    h = DatasetHandle("idx", 6, None, 0.0, pixels=pixels)
     s = sample_batch(h, 64, np.random.default_rng(7))
     rows = np.random.default_rng(7).integers(0, 50, size=64)
-    np.testing.assert_array_equal(s, images[rows])
-    assert not np.shares_memory(s, h.images)
-    before = h.images.copy()
+    np.testing.assert_array_equal(s, scale_pixels(pixels[rows]))
+    assert not np.shares_memory(s, h.pixels)
+    before = h.pixels.copy()
     s[:] = 0.0
-    np.testing.assert_array_equal(h.images, before)
+    np.testing.assert_array_equal(h.pixels, before)
+
+
+def test_idx_batch_keeps_the_bits_of_a_scaled_store(tmp_path):
+    # every pixel value, drawn as a batch, matches to the bit a float64
+    # store scaled once at load: the batch scale is the same expression on
+    # the same values
+    all_values = np.arange(256, dtype=np.uint8).reshape(16, 4, 4)
+    p = tmp_path / "all.idx"
+    p.write_bytes(idx_images_bytes(all_values))
+    h = load_idx(p)
+    store = np.asarray(all_values.reshape(16, 16), np.float64) / 127.5 - 1.0
+    s = sample_batch(h, 200, np.random.default_rng(5))
+    rows = np.random.default_rng(5).integers(0, 16, size=200)
+    assert set(rows) == set(range(16))
+    assert s.dtype == np.float64 and s.shape == (200, 16)
+    assert s.tobytes() == store[rows].tobytes()
+    # the batch is a fresh, writable array; the dataset a read-only view
+    assert s.flags.owndata and s.flags.writeable
+    assert h.pixels.dtype == np.uint8 and not h.pixels.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        h.pixels[0, 0] = 1
+
+
+def test_load_idx_holds_one_byte_a_pixel(tmp_path):
+    # 3000 images of 28x28, the benchmark's size: loading may not hold
+    # more than about the bytes read, so no float copy of the dataset
+    count, side = 3000, 28
+    payload = count * side * side
+    pixels = np.random.default_rng(0).integers(
+        0, 256, size=(count, side, side), dtype=np.uint8)
+    p = tmp_path / "big.idx"
+    p.write_bytes(idx_images_bytes(pixels))
+    del pixels
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        h = load_idx(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert peak <= 1.5 * payload, f"load_idx peaked at {peak / payload:.2f}x"
+    assert h.pixels.shape == (count, side * side)

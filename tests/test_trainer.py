@@ -712,8 +712,8 @@ def test_evaluate_deterministic_and_validates():
 
 def test_evaluate_without_mode_centers_zeroes_mode_metrics():
     g = Network.create((2, 8, 4), rng=np.random.default_rng(0))
-    images = np.zeros((10, 4))
-    handle = DatasetHandle("idx", 4, None, 0.0, images=images)
+    pixels = np.zeros((10, 4), dtype=np.uint8)
+    handle = DatasetHandle("idx", 4, None, 0.0, pixels=pixels)
     row = score_samples(*draw_eval_batch(g, handle, 50), handle)
     assert row.modes_covered == 0
     assert row.coverage_fraction == 0.0 and row.hq_fraction == 0.0
