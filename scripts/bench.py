@@ -8,15 +8,13 @@ and 30 seconds per workload as every BENCH file has: every workload
 untraced, for the end-to-end metrics, then ring8_matcher traced, for its
 deterministic work counters and its median ms per call of each phase,
 then gradcheck traced, for its work counters over one suite.
-Then it times each arm of the ring8 protocol (`scripts/run_ring8.py`'s
-ARMS) once, each in a fresh process with BLAS threads capped at the
-usable cores as perfbench caps them: 1000 steps of `mmgan train` at
-batch 64, seed 1, one evaluation at the last step, called in process,
-over the wall time of that call.
-Last it times the whole protocol at 1000 steps, `python3
-scripts/run_ring8.py --steps 1000` (3 arms x 5 seeds), as one fresh
-process under the same BLAS cap, its run directories in a temporary
-directory; the wall time includes the interpreter's start.
+Last it times the whole ring8 protocol at 1000 steps, `python3
+scripts/run_ring8.py --steps 1000` (3 arms x 5 seeds, batch 64, the
+default evaluation interval), as one fresh process with BLAS threads
+capped at the usable cores as perfbench caps them, its run directories in
+a temporary directory; the wall time includes the interpreter's start.
+The same process gives each arm's steps/s: 1000 steps over the median of
+the `wall_s` the script prints for that arm's runs.
 The file records the machine, the end-to-end result, the ring8 counters
 and phases, the gradcheck counters, the arms' steps/s and the protocol's
 wall time, with the commands that produced them and the commit they were
@@ -28,6 +26,7 @@ package: the line count of src/mmgan/*.py, as
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -43,8 +42,9 @@ PERFBENCH = {
     "gradcheck_counters": "python3 perfbench/run.py --workload gradcheck "
                           "--seed 1 --seconds 30 --trace 1",
 }
-PROTOCOL = "python3 scripts/run_ring8.py --steps 1000"
-COMMANDS = {**PERFBENCH, "protocol_wall_s": PROTOCOL}
+PROTOCOL_STEPS = 1000
+PROTOCOL = f"python3 scripts/run_ring8.py --steps {PROTOCOL_STEPS}"
+COMMANDS = {**PERFBENCH, "ring8_arms": PROTOCOL, "protocol_wall_s": PROTOCOL}
 # the traced ring8 metrics a BENCH file keeps
 COUNTERS = (
     "neural.forward.calls_per_step",
@@ -70,22 +70,6 @@ PHASES = (
     "trainer.eval_callback.ms",
 )
 
-
-ARM_STEPS = 1000
-ARM_ARGV = ["train", "--dataset", "ring8", "--batch", "64", "--steps",
-            str(ARM_STEPS), "--eval-interval", str(ARM_STEPS), "--seed", "1"]
-# one arm's run: argv[1:] is the mmgan argv; prints the call's wall time
-ARM_RUN = """\
-import sys, tempfile, time
-from mmgan.cli import main
-with tempfile.TemporaryDirectory() as out:
-    start = time.perf_counter()
-    code = main([*sys.argv[1:], "--out", out])
-    wall = time.perf_counter() - start
-if code:
-    raise SystemExit(code)
-print(wall)
-"""
 SCRIPTS = Path(__file__).resolve().parent
 SRC = SCRIPTS.parent / "src"
 
@@ -106,17 +90,23 @@ def parse_run(stdout: str) -> tuple:
     return machine, json.loads(lines[-1])
 
 
-def arm_rate(stdout: str) -> dict:
-    """steps/s of one ARM_RUN from its stdout."""
-    return {"value": ARM_STEPS / float(stdout.split()[-1]), "unit": "steps/s"}
+def arm_rates(stdout: str, steps: int = PROTOCOL_STEPS) -> dict:
+    """steps/s of each arm, in the order run, from the protocol's stdout:
+    steps over the median wall_s of its runs' (arm, seed, ...) lines."""
+    walls = {}
+    for cells in map(str.split, stdout.splitlines()):
+        if len(cells) == 5 and cells[1].isdigit():
+            walls.setdefault(cells[0], []).append(float(cells[4]))
+    return {arm: {"value": steps / statistics.median(w), "unit": "steps/s"}
+            for arm, w in walls.items()}
 
 
 def assemble(label: str, revisions: dict, end_to_end_stdout: str,
              counters_stdout: str, gradcheck_stdout: str,
-             arm_stdouts: dict, protocol_wall: float) -> dict:
+             protocol_stdout: str, protocol_wall: float) -> dict:
     """The BENCH record from the stdout of the three PERFBENCH runs and
-    of each arm's ARM_RUN, by arm name, and the protocol's wall seconds.
-    revisions holds the `commit` and `parent` entries."""
+    of PROTOCOL, and the protocol's wall seconds. revisions holds the
+    `commit` and `parent` entries."""
     machine, end_to_end = parse_run(end_to_end_stdout)
     _, traced = parse_run(counters_stdout)
     _, gradcheck = parse_run(gradcheck_stdout)
@@ -131,7 +121,7 @@ def assemble(label: str, revisions: dict, end_to_end_stdout: str,
         "ring8_matcher_phases": {k: traced["metrics"][k] for k in PHASES},
         "gradcheck_counters": {k: gradcheck["metrics"][k]
                                for k in GRADCHECK_COUNTERS},
-        "ring8_arms": {arm: arm_rate(out) for arm, out in arm_stdouts.items()},
+        "ring8_arms": arm_rates(protocol_stdout),
         "protocol_wall_s": {"value": protocol_wall, "unit": "s"},
     }
 
@@ -158,20 +148,9 @@ def capped_env() -> dict:
                     filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
 
 
-def run_arm(flags: list) -> str:
-    """The stdout of ARM_RUN on one arm's flags, in a fresh process."""
-    proc = subprocess.run([sys.executable, "-c", ARM_RUN, *ARM_ARGV, *flags],
-                          env=capped_env(), capture_output=True, text=True,
-                          check=False)
-    sys.stderr.write(proc.stderr)
-    if proc.returncode != 0:
-        sys.exit(f"ring8 arm {' '.join(flags)} exited {proc.returncode}")
-    return proc.stdout
-
-
-def run_protocol(flags=()) -> float:
-    """Wall seconds of PROTOCOL, with flags appended, in a fresh process
-    whose run directories go to a temporary directory."""
+def run_protocol(flags=()) -> tuple:
+    """(wall seconds, stdout) of PROTOCOL, with flags appended, in a fresh
+    process whose run directories go to a temporary directory."""
     script, *args = PROTOCOL.split()[1:]
     with tempfile.TemporaryDirectory() as out:
         argv = [sys.executable, str(SCRIPTS.parent / script), *args, *flags,
@@ -183,7 +162,7 @@ def run_protocol(flags=()) -> float:
     sys.stderr.write(proc.stderr)
     if proc.returncode != 0:
         sys.exit(f"ring8 protocol exited {proc.returncode}")
-    return wall
+    return wall, proc.stdout
 
 
 def main() -> None:
@@ -199,12 +178,10 @@ def main() -> None:
         if proc.returncode != 0:
             sys.exit(f"{command} exited {proc.returncode}")
         stdouts[key] = proc.stdout
-    sys.path.insert(0, str(SRC))  # run_ring8 imports mmgan
-    from run_ring8 import ARMS
-    arm_stdouts = {arm: run_arm(flags) for arm, flags in ARMS.items()}
+    protocol_wall, protocol_stdout = run_protocol()
     record = assemble(label, revisions(), stdouts["end_to_end"],
                       stdouts["counters"], stdouts["gradcheck_counters"],
-                      arm_stdouts, run_protocol())
+                      protocol_stdout, protocol_wall)
     path = f"BENCH_{label}.json"
     with open(path, "w", encoding="utf-8") as f:
         json.dump(record, f, indent=1)

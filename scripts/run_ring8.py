@@ -1,22 +1,20 @@
 #!/usr/bin/env python3
-"""The ring8 coverage protocol of the acceptance tests, from the command line.
+"""The ring8 coverage protocol: the code acceptance criteria 6 and 7 run.
 
-Trains the three arms that criteria 6 and 7 compare (rbf kernel matcher,
-plain adversarial baseline, matcher without the correlation penalty) on
-each seed at batch 64, prints every run's modes covered and high-quality
-fraction at the final step, then the per-arm medians, which are the
-README's coverage table. Run directories land under --out (default:
-ring8-runs).
+Trains three arms (rbf kernel matcher, plain adversarial baseline, matcher
+without the correlation penalty) on each seed at batch 64, prints each
+run's final modes covered, high-quality fraction and wall seconds as it
+finishes, then the per-arm medians, which are the README's coverage table.
+Run directories land under --out (default: ring8-runs).
 """
 import argparse
 import csv
 import statistics
-import sys
+import time
 from pathlib import Path
 
 from mmgan.cli import main as mmgan
 
-# the arms of tests/test_acceptance.py; tests/test_scripts.py keeps them equal
 ARMS = {
     "matcher": ["--kernel", "rbf", "--alpha", "1", "--beta", "1",
                 "--delta", "0.9"],
@@ -26,9 +24,32 @@ ARMS = {
 }
 
 
-def final_row(run_dir: Path) -> dict:
-    with open(run_dir / "metrics.csv", newline="") as f:
-        return list(csv.DictReader(f))[-1]
+def runs(seeds, steps, out_root):
+    """Train each arm on each seed into <out_root>/<arm>-s<seed>; yield
+    (arm, seed, modes, hq, wall_s) per run: its final metrics.csv row and
+    the wall seconds of its `mmgan train` call. A non-zero exit raises."""
+    for arm, flags in ARMS.items():
+        for seed in seeds:
+            out = Path(out_root) / f"{arm}-s{seed}"
+            start = time.monotonic()
+            code = mmgan(["train", "--dataset", "ring8", "--steps", str(steps),
+                          "--batch", "64", "--seed", str(seed),
+                          "--out", str(out), *flags])
+            wall = time.monotonic() - start
+            if code != 0:
+                raise RuntimeError(f"{arm} seed {seed} exited {code}")
+            with open(out / "metrics.csv", newline="") as f:
+                row = list(csv.DictReader(f))[-1]
+            yield (arm, seed, int(row["modes_covered"]),
+                   float(row["hq_fraction"]), wall)
+
+
+def medians(table) -> list:
+    """One line per arm of {arm: [(modes, hq, ...), ...]}: the medians of
+    its runs' modes and hq."""
+    return [f"{arm:<10} median modes {statistics.median(r[0] for r in rows):g}"
+            f"  median hq {statistics.median(r[1] for r in rows):.3f}"
+            for arm, rows in table.items()]
 
 
 def main() -> None:
@@ -38,27 +59,14 @@ def main() -> None:
     ap.add_argument("--out", default="ring8-runs")
     args = ap.parse_args()
 
-    out_root = Path(args.out)
-    print("arm        seed  modes  hq_fraction")
-    results = {}
-    for arm, flags in ARMS.items():
-        rows = results[arm] = []
-        for seed in args.seeds:
-            out = out_root / f"{arm}-s{seed}"
-            code = mmgan(["train", "--dataset", "ring8", "--steps",
-                          str(args.steps), "--batch", "64", "--seed",
-                          str(seed), "--out", str(out), *flags])
-            if code != 0:
-                sys.exit(f"{arm} seed {seed} exited {code}")
-            row = final_row(out)
-            rows.append((int(row["modes_covered"]), float(row["hq_fraction"])))
-            print(f"{arm:<10} {seed:>4}  {rows[-1][0]:>5}  {rows[-1][1]:.3f}")
-
+    print("arm        seed  modes  hq_fraction  wall_s", flush=True)
+    table = {}
+    for arm, seed, modes, hq, wall in runs(args.seeds, args.steps, args.out):
+        table.setdefault(arm, []).append((modes, hq))
+        print(f"{arm:<10} {seed:>4}  {modes:>5}  {hq:<11.3f}  {wall:.3f}",
+              flush=True)
     print()
-    for arm, rows in results.items():
-        modes = statistics.median(m for m, _ in rows)
-        hq = statistics.median(h for _, h in rows)
-        print(f"{arm:<10} median modes {modes:g}  median hq {hq:.3f}")
+    print("\n".join(medians(table)))
 
 
 if __name__ == "__main__":

@@ -74,7 +74,7 @@ def _fields(record, skip=()) -> list:
 
 # A metrics.csv row is the step's LossReport followed by its evaluation's
 # MetricsRow less these fields, which only `mmgan eval` prints.
-_EVAL_ONLY = ("step", "coverage_fraction", "r_g_value")
+_EVAL_ONLY = ("step", "coverage_fraction")
 METRICS_COLUMNS = tuple(f.name for f in _fields(LossReport)
                         + _fields(MetricsRow, skip=_EVAL_ONLY))
 EVAL_COLUMNS = tuple(f.name for f in _fields(MetricsRow))

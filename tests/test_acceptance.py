@@ -1,8 +1,9 @@
 """Acceptance gate: one test per shipping criterion, run with pytest -v.
 
 Criteria 6 and 7 train 15 full ring8 runs (5 seeds x 3 arms) through the
-real CLI at 20000 steps each; everything they assert is read back from the
-run directories the way a user would read them.
+real CLI at 20000 steps each, by `runs` of `scripts/run_ring8.py`, the
+protocol's one implementation; everything they assert is read back from
+the run directories the way a user would read them.
 """
 import csv
 import statistics
@@ -20,11 +21,7 @@ from mmgan.gradcheck import TOLERANCE, run_suite, variant_names
 from mmgan.persist import load_network, save_network
 from mmgan.regularizer import r_g
 from oracles import manifold_gap
-
-
-def _final_row(run_dir):
-    with open(run_dir / "metrics.csv", newline="") as f:
-        return list(csv.DictReader(f))[-1]
+from run_ring8 import medians, runs
 
 
 def _median(values):
@@ -115,46 +112,23 @@ def test_criterion_5_decorrelation_penalty_direction():
 
 RING8_STEPS = 20000
 SEEDS = range(5)
-ARMS = {
-    "matcher": ["--kernel", "rbf", "--alpha", "1", "--beta", "1",
-                "--delta", "0.9"],
-    "baseline": ["--baseline"],
-    "nopenalty": ["--kernel", "rbf", "--alpha", "1", "--beta", "0",
-                  "--delta", "0.9"],
-}
 
 
 @pytest.fixture(scope="module")
 def ring8_runs(tmp_path_factory):
     """modes/hq/wall per (arm, seed), trained through the CLI."""
-    root = tmp_path_factory.mktemp("ring8")
     table = {}
-    for arm, flags in ARMS.items():
-        rows = []
-        for seed in SEEDS:
-            out = root / f"{arm}-s{seed}"
-            t0 = time.monotonic()
-            code = cli_main(["train", "--dataset", "ring8",
-                             "--steps", str(RING8_STEPS), "--batch", "64",
-                             "--seed", str(seed), "--out", str(out), *flags])
-            wall = time.monotonic() - t0
-            assert code == 0, f"{arm} seed {seed} exited {code}"
-            row = _final_row(out)
-            rows.append((int(row["modes_covered"]),
-                         float(row["hq_fraction"]), wall))
-        table[arm] = rows
+    for arm, _, modes, hq, wall in runs(SEEDS, RING8_STEPS,
+                                        tmp_path_factory.mktemp("ring8")):
+        table.setdefault(arm, []).append((modes, hq, wall))
     return table
 
 
 def _coverage_summary(table):
-    lines = []
-    for arm, rows in table.items():
-        mm = _median([m for m, _, _ in rows])
-        mh = _median([h for _, h, _ in rows])
-        per_seed = ", ".join(f"{m}/{h:.2f}" for m, h, _ in rows)
-        lines.append(f"{arm}: median modes {mm:g}, median hq {mh:.3f} "
-                     f"[seed modes/hq: {per_seed}]")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{line} [seed modes/hq: "
+        + ", ".join(f"{m}/{h:.2f}" for m, h, _ in rows) + "]"
+        for line, rows in zip(medians(table), table.values()))
 
 
 def test_criterion_6_ring8_mode_coverage_protocol(ring8_runs):

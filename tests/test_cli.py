@@ -26,7 +26,7 @@ from mmgan.persist import load_network, save_network
 FAST = ["--dataset", "ring8", "--steps", "60", "--batch", "16",
         "--eval-interval", "30", "--eval-samples", "64", "--seed", "5"]
 HEADER = ("step,loss_g,loss_d,manifold_term,radius_term,r_g,"
-          "modes_covered,hq_fraction,centroid_gap,radius_gap")
+          "modes_covered,hq_fraction,centroid_gap,radius_gap,r_g_value")
 
 
 def run_fast(tmp_path, name="run", extra=()):
@@ -53,7 +53,7 @@ def test_metrics_csv_shape(tmp_path):
     assert len(lines) == 3
     for line in lines[1:]:
         cells = line.split(",")
-        assert len(cells) == 10
+        assert len(cells) == 11
         assert all(np.isfinite(float(c)) for c in cells)
     assert [line.split(",")[0] for line in lines[1:]] == ["30", "60"]
 
@@ -459,6 +459,14 @@ def test_eval_r_g_value_reads_0_where_it_cannot_vary(tmp_path, monkeypatch,
     n = 32  # the run's eval_samples
     assert len(values) == 2
     assert all(np.isfinite(v) and 0.0 < v < np.sqrt(n * n - n) for v in values)
+
+
+def test_train_metrics_r_g_value_is_evals_on_idx(tmp_path, monkeypatch,
+                                                   capsys):
+    out = _idx_run(tmp_path, monkeypatch)
+    final = (out / "metrics.csv").read_text().splitlines()[-1].split(",")[-1]
+    assert float(final) > 0.0
+    assert final == _eval_r_g(out, capsys)
 
 
 def test_eval_runs_from_another_directory(tmp_path, monkeypatch, capsys):

@@ -1,24 +1,31 @@
 """The scripts under scripts/: run_ring8.py runs the protocol the
 acceptance tests judge, bench.py writes the BENCH_<label>.json record."""
-import importlib.util
+import csv
 import json
 import subprocess
 from pathlib import Path
 
-import test_acceptance
+import pytest
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+import bench
+import run_ring8
 
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
+REPO = Path(__file__).resolve().parent.parent
 
 
-def test_run_ring8_arms_match_acceptance_protocol():
-    assert load_script("run_ring8").ARMS == test_acceptance.ARMS
+def test_ring8_runs_yield_each_arms_final_row_and_wall(tmp_path):
+    results = list(run_ring8.runs([0], 20, tmp_path))
+    assert [arm for arm, *_ in results] == list(run_ring8.ARMS)
+    for arm, seed, modes, hq, wall in results:
+        with open(tmp_path / f"{arm}-s0" / "metrics.csv", newline="") as f:
+            final = list(csv.DictReader(f))[-1]
+        assert seed == 0 and final["step"] == "20"
+        assert (modes, hq) == (int(final["modes_covered"]),
+                               float(final["hq_fraction"]))
+        assert wall > 0.0
+    # a run that exits non-zero raises, so the fixture fails, not the process
+    with pytest.raises(RuntimeError, match="matcher seed 0 exited 1"):
+        next(run_ring8.runs([0], 0, tmp_path))
 
 
 MACHINE = {"nproc": 2, "numpy": "2.4.6", "blas": {"name": "openblas"}}
@@ -29,7 +36,6 @@ def metric(value, unit):
 
 
 def test_bench_assembles_the_record_from_perfbench_stdout():
-    bench = load_script("bench")
     end_to_end = {"correct": True, "attempted": 48, "failed": 0, "metrics": {
         "ring8_matcher.train_steps_per_s": metric(563.1, "steps/s"),
         "gradcheck.peak_rss_mb": metric(39.2, "MB")}}
@@ -57,13 +63,19 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
             "neural.forward.calls": metric(6536.0, "count"),
             "neural.backward.calls": metric(8.0, "count"),
             "gradcheck.loss_evals": metric(3240, "count")}})])
-    # each protocol arm's run prints its wall time in seconds
-    arms = load_script("run_ring8").ARMS
-    walls = dict(zip(arms, ("2.0", "1.6", "2.5")))
-    arm_stdouts = {arm: f"{wall}\n" for arm, wall in walls.items()}
+    # the protocol prints each run's wall_s, then the medians
+    protocol_stdout = "\n".join([
+        "arm        seed  modes  hq_fraction  wall_s",
+        "matcher       0      8  0.634        2.200",
+        "matcher       1      7  0.612        1.800",
+        "matcher       2      8  0.640        2.000",
+        "baseline      0      0  0.000        1.600",
+        "nopenalty     0      8  0.650        2.500",
+        "",
+        "matcher    median modes 8  median hq 0.634"])
     record = bench.assemble("pr8", {"commit": None, "parent": "abc1234"},
                             e2e_stdout, counters_stdout, gradcheck_stdout,
-                            arm_stdouts, 21.5)
+                            protocol_stdout, 21.5)
     # the schema of the committed BENCH files, which gained the phases, the
     # arms, the source size, the gradcheck counters and the protocol's wall
     assert list(record) == ["label", "commit", "parent", "commands", "machine",
@@ -73,7 +85,7 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
     assert record["label"] == "pr8" and record["parent"] == "abc1234"
     assert record["machine"] == MACHINE
     wc = subprocess.run("cat src/mmgan/*.py | wc -l", shell=True, check=True,
-                        cwd=SCRIPTS.parent, capture_output=True, text=True)
+                        cwd=REPO, capture_output=True, text=True)
     assert record["src_lines"] == int(wc.stdout)
     assert record["end_to_end"] == end_to_end
     assert record["ring8_matcher_counters"] == {
@@ -87,40 +99,35 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
         "regularizer.r_g.calls": metric(1656.0, "count"),
         "neural.forward.calls": metric(6536.0, "count"),
         "gradcheck.loss_evals": metric(3240, "count")}
-    # 1000 steps over each arm's wall time, in ARMS order
+    # 1000 steps over the median of each arm's wall_s, in the order run
     assert record["ring8_arms"] == {"matcher": metric(500.0, "steps/s"),
                                     "baseline": metric(625.0, "steps/s"),
                                     "nopenalty": metric(400.0, "steps/s")}
-    assert list(record["ring8_arms"]) == list(arms)
+    assert list(record["ring8_arms"]) == list(run_ring8.ARMS)
     assert record["protocol_wall_s"] == metric(21.5, "s")
-    committed = json.loads((SCRIPTS.parent / "BENCH_pr6.json").read_text())
+    committed = json.loads((REPO / "BENCH_pr6.json").read_text())
     # the committed commands, plus the traced gradcheck run and the
-    # protocol at 1000 steps
+    # protocol at 1000 steps, which gives the arms and the protocol's wall
+    protocol = "python3 scripts/run_ring8.py --steps 1000"
     assert record["commands"] == {
         **committed["commands"],
         "gradcheck_counters": "python3 perfbench/run.py --workload gradcheck "
                               "--seed 1 --seconds 30 --trace 1",
-        "protocol_wall_s": "python3 scripts/run_ring8.py --steps 1000"}
+        "ring8_arms": protocol, "protocol_wall_s": protocol}
     assert set(record["ring8_matcher_counters"]) == set(
         committed["ring8_matcher_counters"])
-
-
-def test_bench_arm_run_prints_its_wall_time():
-    # a shortened arm in the fresh process bench.py times the arms in;
-    # later flags override ARM_ARGV's
-    bench = load_script("bench")
-    stdout = bench.run_arm(["--baseline", "--steps", "20",
-                            "--eval-interval", "20"])
-    assert float(stdout.split()[-1]) > 0.0
 
 
 def test_bench_protocol_run_returns_its_wall_time():
     # the protocol on one seed at 20 steps, in the fresh process bench.py
     # times it in; later flags override the command's
-    bench = load_script("bench")
-    assert bench.run_protocol(["--steps", "20", "--seeds", "0"]) > 0.0
+    wall, stdout = bench.run_protocol(["--steps", "20", "--seeds", "0"])
+    assert wall > 0.0
+    rates = bench.arm_rates(stdout, 20)
+    assert list(rates) == list(run_ring8.ARMS)
+    assert all(rate["value"] > 0.0 for rate in rates.values())
 
 
 def test_src_stays_within_its_size_budget():
     # the line budget of src/mmgan, counted as every BENCH record counts it
-    assert load_script("bench").src_lines() <= 2500
+    assert bench.src_lines() <= 2500
