@@ -10,22 +10,27 @@ deterministic work counters and its median ms per call of each phase,
 then gradcheck traced, for its work counters over one suite.
 Last it times the whole ring8 protocol at 1000 steps, `python3
 scripts/run_ring8.py --steps 1000` (3 arms x 5 seeds, batch 64, the
-default evaluation interval), as one fresh process with BLAS threads
-capped at the usable cores as perfbench caps them, its run directories in
-a temporary directory; the wall time includes the interpreter's start.
+default evaluation interval), as one fresh process whose environment
+caps BLAS threads at the usable cores as perfbench caps them, its run
+directories in a temporary directory; the wall time includes the
+interpreter's start. The program computes with one BLAS thread whatever
+the cap says, because importing mmgan sets numpy's OpenBLAS to one.
 The same process gives each arm's steps/s: 1000 steps over the median of
 the `wall_s` the script prints for that arm's runs.
-The file records the machine, the end-to-end result, the ring8 counters
-and phases, the gradcheck counters, the arms' steps/s and the protocol's
-wall time, with the commands that produced them and the commit they were
-measured on (`commit` is null, and `parent` names HEAD, when the working
-tree has uncommitted changes). `src_lines` is the size of the measured
-package: the line count of src/mmgan/*.py, as
-`cat src/mmgan/*.py | wc -l` prints it.
+The file records the machine, the end-to-end result, each workload's
+host probes (perfbench's `host:` line: `probe_before`, `probe_after` and
+`steal_s_delta`, so that a reader can tell the box's speed from the
+code's), the ring8 counters and phases, the gradcheck counters, the
+arms' steps/s and the protocol's wall time, with the commands that
+produced them and the commit they were measured on (`commit` is null,
+and `parent` names HEAD, when the working tree has uncommitted changes).
+`src_lines` is the size of the measured package: the line count of
+src/mmgan/*.py, as `cat src/mmgan/*.py | wc -l` prints it.
 """
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -70,6 +75,9 @@ PHASES = (
     "trainer.eval_callback.ms",
 )
 
+# perfbench's host probe line, `<workload> host: {...}` under --workload all
+HOST_LINE = re.compile(r"(\w+) host: (\{.*\})$")
+
 SCRIPTS = Path(__file__).resolve().parent
 SRC = SCRIPTS.parent / "src"
 
@@ -81,13 +89,14 @@ def src_lines() -> int:
 
 
 def parse_run(stdout: str) -> tuple:
-    """(machine record, result) of one perfbench run: the first
-    `machine:` line (prefixed by the workload under --workload all) and
-    the JSON object on the last line."""
+    """(machine record, host probes, result) of one perfbench run: the
+    first `machine:` line, each `host:` line by the workload that prefixes
+    it under --workload all, and the JSON object on the last line."""
     lines = stdout.strip().splitlines()
     machine = next(json.loads(line.split("machine: ", 1)[1])
                    for line in lines if "machine: " in line)
-    return machine, json.loads(lines[-1])
+    hosts = {m[1]: json.loads(m[2]) for m in map(HOST_LINE.match, lines) if m}
+    return machine, hosts, json.loads(lines[-1])
 
 
 def arm_rates(stdout: str, steps: int = PROTOCOL_STEPS) -> dict:
@@ -107,9 +116,9 @@ def assemble(label: str, revisions: dict, end_to_end_stdout: str,
     """The BENCH record from the stdout of the three PERFBENCH runs and
     of PROTOCOL, and the protocol's wall seconds. revisions holds the
     `commit` and `parent` entries."""
-    machine, end_to_end = parse_run(end_to_end_stdout)
-    _, traced = parse_run(counters_stdout)
-    _, gradcheck = parse_run(gradcheck_stdout)
+    machine, host, end_to_end = parse_run(end_to_end_stdout)
+    _, _, traced = parse_run(counters_stdout)
+    _, _, gradcheck = parse_run(gradcheck_stdout)
     return {
         "label": label,
         **revisions,
@@ -117,6 +126,7 @@ def assemble(label: str, revisions: dict, end_to_end_stdout: str,
         "machine": machine,
         "src_lines": src_lines(),
         "end_to_end": end_to_end,
+        "host": host,
         "ring8_matcher_counters": {k: traced["metrics"][k] for k in COUNTERS},
         "ring8_matcher_phases": {k: traced["metrics"][k] for k in PHASES},
         "gradcheck_counters": {k: gradcheck["metrics"][k]

@@ -6,8 +6,11 @@ import gzip
 import io
 import os
 import struct
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,6 +26,7 @@ from mmgan.trainer import draw_eval_batch, score_samples
 from mmgan.persist import load_network, save_network
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 FAST = ["--dataset", "ring8", "--steps", "60", "--batch", "16",
         "--eval-interval", "30", "--eval-samples", "64", "--seed", "5"]
 HEADER = ("step,loss_g,loss_d,manifold_term,radius_term,r_g,"
@@ -415,10 +419,11 @@ def test_settings_of_eval_and_gradcheck_are_range_checked(finished_run, argv):
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def _write_idx(path, rows=7, cols=7):
-    rng = np.random.default_rng(0)
-    imgs = rng.integers(0, 256, size=(80, rows, cols), dtype=np.uint8)
-    path.write_bytes(struct.pack(">IIII", 2051, 80, rows, cols) + imgs.tobytes())
+def _write_idx(path, rows=7, cols=7, count=80, seed=0):
+    rng = np.random.default_rng(seed)
+    imgs = rng.integers(0, 256, size=(count, rows, cols), dtype=np.uint8)
+    path.write_bytes(struct.pack(">IIII", 2051, count, rows, cols)
+                     + imgs.tobytes())
 
 
 def test_idx_training_smoke(tmp_path):
@@ -432,6 +437,50 @@ def test_idx_training_smoke(tmp_path):
     names = {q.name for q in out.iterdir()}
     assert "samples_40.csv" in names
     assert not any(n.endswith(".svg") for n in names)
+
+
+def _blas_env(threads):
+    """The environment with every BLAS thread variable set to threads and
+    the package importable, for a fresh interpreter."""
+    n = str(threads)
+    return dict(os.environ, OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n,
+                MKL_NUM_THREADS=n, PYTHONPATH=os.pathsep.join(
+                    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
+def test_idx_outputs_do_not_depend_on_the_blas_thread_environment(tmp_path):
+    # two OpenBLAS threads split a 784-wide product's sums differently, so
+    # the bytes would follow the environment; importing mmgan computes with
+    # one thread whatever it says
+    p = tmp_path / "digits.idx"
+    _write_idx(p, 28, 28, count=256, seed=17)
+    for threads in (1, 2):
+        subprocess.run(
+            [sys.executable, "-m", "mmgan.cli", "train", "--dataset", "idx",
+             "--idx-images", str(p), "--steps", "50", "--eval-interval", "50",
+             "--eval-samples", "128", "--seed", "1",
+             "--out", str(tmp_path / f"threads{threads}")],
+            env=_blas_env(threads), capture_output=True, check=True)
+    for name in ("generator.bin", "metrics.csv", "samples_50.csv"):
+        assert (tmp_path / "threads1" / name).read_bytes() == \
+            (tmp_path / "threads2" / name).read_bytes(), name
+
+
+def test_importing_mmgan_after_numpy_sets_one_blas_thread():
+    # numpy loads first and reads the environment's 2 threads, as in a
+    # caller that imported numpy before mmgan
+    probe = ("import ctypes, numpy as np\n"
+             "blas = ctypes.CDLL(np.linalg._umath_linalg.__file__)\n"
+             "get = getattr(blas, 'scipy_openblas_get_num_threads64_', None)\n"
+             "if get is None: raise SystemExit('no symbol')\n"
+             "import mmgan\n"
+             "print(get())\n")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_blas_env(2),
+                          capture_output=True, text=True, check=False)
+    if proc.stderr.strip() == "no symbol":
+        pytest.skip("numpy is not built on its bundled scipy-openblas")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
 
 
 def _idx_run(tmp_path, monkeypatch):

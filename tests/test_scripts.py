@@ -39,11 +39,17 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
     end_to_end = {"correct": True, "attempted": 48, "failed": 0, "metrics": {
         "ring8_matcher.train_steps_per_s": metric(563.1, "steps/s"),
         "gradcheck.peak_rss_mb": metric(39.2, "MB")}}
+    # each workload's host probes, as perfbench prints them
+    hosts = {workload: {"probe_before": {"python_ms": 1.5 + i, "blas_ms": 0.2},
+                        "probe_after": {"python_ms": 1.6, "blas_ms": 0.3 + i},
+                        "steal_s_delta": 0.01 * i}
+             for i, workload in enumerate(["ring8_matcher", "idx_baseline"])}
     e2e_stdout = "\n".join([
-        "ring8_matcher host: {}",
         f"ring8_matcher machine: {json.dumps(MACHINE)}",
+        f"ring8_matcher host: {json.dumps(hosts['ring8_matcher'])}",
         "ring8_matcher train_steps_per_s: 563.1 steps/s",
         f"idx_baseline machine: {json.dumps(dict(MACHINE, nproc=8))}",
+        f"idx_baseline host: {json.dumps(hosts['idx_baseline'])}",
         "ops_failed_frac: 0.0 ratio (0/48)",
         json.dumps(end_to_end)])
     traced = {name: metric(float(i), "count")
@@ -53,6 +59,7 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
     traced["neural.backward.ms"] = metric(0.49, "ms")
     counters_stdout = "\n".join([
         f"machine: {json.dumps(MACHINE)}",
+        f"host: {json.dumps(hosts['ring8_matcher'])}",
         json.dumps({"correct": True, "attempted": 6, "failed": 0,
                     "metrics": traced})])
     # the traced gradcheck suite's counts, among its other metrics
@@ -77,9 +84,11 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
                             e2e_stdout, counters_stdout, gradcheck_stdout,
                             protocol_stdout, 21.5)
     # the schema of the committed BENCH files, which gained the phases, the
-    # arms, the source size, the gradcheck counters and the protocol's wall
+    # arms, the source size, the gradcheck counters, the protocol's wall and
+    # the host probes
     assert list(record) == ["label", "commit", "parent", "commands", "machine",
-                            "src_lines", "end_to_end", "ring8_matcher_counters",
+                            "src_lines", "end_to_end", "host",
+                            "ring8_matcher_counters",
                             "ring8_matcher_phases", "gradcheck_counters",
                             "ring8_arms", "protocol_wall_s"]
     assert record["label"] == "pr8" and record["parent"] == "abc1234"
@@ -88,6 +97,9 @@ def test_bench_assembles_the_record_from_perfbench_stdout():
                         cwd=REPO, capture_output=True, text=True)
     assert record["src_lines"] == int(wc.stdout)
     assert record["end_to_end"] == end_to_end
+    # the untraced run's probes, by workload, in the order run
+    assert record["host"] == hosts
+    assert list(record["host"]) == ["ring8_matcher", "idx_baseline"]
     assert record["ring8_matcher_counters"] == {
         name: metric(float(i), "count") for i, name in enumerate(bench.COUNTERS)}
     assert record["ring8_matcher_phases"] == {
