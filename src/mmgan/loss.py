@@ -21,12 +21,14 @@ sqrt(n^2 - n), between the fake and the real batch: it lies in [0, 1] like
 the bounded kernel terms whatever the batch size, instead of outweighing
 them n-fold, and it vanishes where the batches agree.
 
-The discriminator minimizes the classification loss alone: it learns the
-representation in which the manifolds are fitted, and only the generator
-plays the matching game. When the discriminator also maximized the
-matching quantity, it won that game by spreading its features until every
-cross-kernel value vanished, and the generator, left without a matching
-gradient, lost the modes it had found.
+The discriminator minimizes the classification loss alone, a clamped
+binary cross-entropy that the baseline generator's objective shares with
+the fakes labelled real: D learns the representation in which the
+manifolds are fitted, and only the generator plays the matching game.
+When the discriminator also maximized the matching quantity, it won that
+game by spreading its features until every cross-kernel value vanished,
+and the generator, left without a matching gradient, lost the modes it
+had found.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "LossConfig",
     "LossReport",
     "GeneratorTerms",
-    "l_orig",
     "batch_stats",
     "rg_score",
     "rg_penalty",
@@ -101,64 +102,46 @@ class GeneratorTerms:
     total: object
 
 
-def _check_probabilities(**named) -> None:
-    for name, x in named.items():
-        if x.value.size < 1:
-            raise ValueError(f"{name} is empty")
-        if x.value.min() < 0.0 or x.value.max() > 1.0:
-            raise ValueError(f"{name} must hold probabilities in [0, 1]")
-
-
-def l_orig(d_real, d_fake):
-    """mean log D(real) + mean log(1 - D(fake)), probabilities clamped to
-    [1e-7, 1 - 1e-7] so the logs stay finite.
-
-    One graph node with a hand-written vector-Jacobian product; a
-    probability outside the open clamp interval gets gradient 0.
-    """
-    _check_probabilities(d_real=d_real, d_fake=d_fake)
+def _cross_entropy(*batches):
+    """Binary cross-entropy, one graph node, over (name, probabilities,
+    labelled_real) batches, name for error messages: a real-labelled batch
+    adds -mean log p, a fake-labelled one -mean log(1 - p). Probabilities
+    are clamped to [1e-7, 1 - 1e-7] so the logs stay finite; one outside
+    the open clamp interval gets gradient 0. Value and gradients are the
+    bits of the composed clamp, log, mean and negate chain."""
     lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
-    r, f = d_real.value, d_fake.value
-    cr, cf1 = np.clip(r, lo, hi), 1.0 - np.clip(f, lo, hi)
-    value = np.log(cr).sum() / r.size + np.log(cf1).sum() / f.size
+    terms = []
+    for name, p, real in batches:
+        v = p.value
+        if v.size < 1:
+            raise ValueError(f"{name} is empty")
+        # written so that NaN fails it too
+        if not (v.min() >= 0.0 and v.max() <= 1.0):
+            raise ValueError(f"{name} must hold probabilities in [0, 1]")
+        c = np.clip(v, lo, hi)
+        terms.append((p, v, c if real else 1.0 - c, real))
 
     def vjp(g):
-        gr = gf = None
-        if d_real.requires_grad:
-            gr = (g / r.size) / cr * ((r > lo) & (r < hi))
-        if d_fake.requires_grad:
-            gf = -((g / f.size) / cf1) * ((f > lo) & (f < hi))
-        return gr, gf
+        # d(-log q)/dq = -1/q, and dq/dp is 1 for p, -1 for 1 - p
+        return tuple(((-g if real else g) / v.size) / q * ((v > lo) & (v < hi))
+                     if p.requires_grad else None
+                     for p, v, q, real in terms)
 
-    return node(value, (d_real, d_fake), vjp)
+    return node(-sum(np.log(q).sum() / q.size for _, _, q, _ in terms),
+                tuple(t[0] for t in terms), vjp)
 
 
 def l_d_final(d_real, d_fake):
-    """Complete discriminator objective: the classification loss, the
-    negation of l_orig. The discriminator only learns the representation;
-    the manifold matching is the generator's objective alone."""
-    return -l_orig(d_real, d_fake)
+    """The discriminator's objective, the classification loss
+    -(mean log D(real) + mean log(1 - D(fake)))."""
+    return _cross_entropy(("d_real", d_real, True), ("d_fake", d_fake, False))
 
 
 def l_g_baseline(d_fake):
     """The baseline generator's non-saturating objective, -mean log
-    D(fake), probabilities clamped as in l_orig: it pushes D(G(z)) toward 1.
-
-    One graph node with a hand-written vector-Jacobian product. Value and
-    gradient are the bits of the composed -(clamp, log, mean) chain, in
-    its order of operations; a probability outside the open clamp
-    interval gets gradient 0.
-    """
-    _check_probabilities(d_fake=d_fake)
-    lo, hi = PROB_CLAMP, 1.0 - PROB_CLAMP
-    f = d_fake.value
-    cf = np.clip(f, lo, hi)
-    n = f.size
-
-    def vjp(g):
-        return (((-g) / n) / cf * ((f > lo) & (f < hi)),)
-
-    return node(-(np.log(cf).sum() / n), (d_fake,), vjp)
+    D(fake): the same cross-entropy with the fakes labelled real, which
+    pushes D(G(z)) toward 1."""
+    return _cross_entropy(("d_fake", d_fake, True))
 
 
 def batch_stats(spec: KernelSpec | None, reps) -> tuple:

@@ -16,9 +16,10 @@ bookkeeping. Values that are never differentiated run the same ops inside
 Some ops are single nodes with a hand-written vector-Jacobian product
 instead of a chain of small ops: a network layer (affine map plus
 activation) here, and elsewhere the mean Gram of two batches, the
-correlation penalty r_g, the classification loss l_orig and the baseline
-generator's objective. A layer, r_g and the two losses give the bits
-their formulas give in composed ops.
+correlation penalty r_g and the cross-entropy under both adversarial
+objectives. A layer, r_g and the cross-entropy give the bits their
+formulas give in composed ops. `Tensor` keeps only the ops that the
+product's graphs run.
 """
 
 from __future__ import annotations
@@ -157,20 +158,10 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return node(-self.value, (self,), lambda g: (-g,))
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            a, b = self.value, other.value
-            return node(a - b, (self, other),
-                         lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-        a = self.value
-        return node(a - other, (self,), lambda g: (_unbroadcast(g, a.shape),))
-
-    def __rsub__(self, other):
-        a = self.value
-        return node(other - a, (self,), lambda g: (_unbroadcast(-g, a.shape),))
+    def __sub__(self, other: "Tensor"):
+        a, b = self.value, other.value
+        return node(a - b, (self, other),
+                     lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
     def __mul__(self, other):
         if isinstance(other, Tensor):

@@ -9,12 +9,13 @@ The composed references at the end take Tensors and write a fused graph
 node's formula as a chain of primitive ops, each with its own
 vector-Jacobian product: the hand-written VJP of the fused node must agree
 with theirs. Primitives that no product graph runs (transpose, matmul,
-Tensor / Tensor, log, clamp) are built here as local `neural.node` ops.
+Tensor / Tensor, log, clamp, negation) are built here as local
+`neural.node` ops, and an array left of `-` enters as a `constant`.
 """
 
 import numpy as np
 
-from mmgan.neural import _unbroadcast, node
+from mmgan.neural import _unbroadcast, constant, node
 
 
 def fd_gradients(f, arrays, h=1e-5):
@@ -132,6 +133,10 @@ def _div(x, y):
                            _unbroadcast(-g * a / (b * b), b.shape)))
 
 
+def _neg(t):
+    return node(-t.value, (t,), lambda g: (-g,))
+
+
 def _log(t):
     a = t.value
     return node(np.log(a), (t,), lambda g: (g / a,))
@@ -151,19 +156,19 @@ def composed_r_g(reps, eps: float):
     sq = (centered * centered).sum(axis=1, keepdims=True)
     unit = _div(centered, sq.sqrt().clamp_min(eps))
     a = _matmul(unit, _transpose(unit))
-    diff = np.eye(reps.value.shape[0]) - a
+    diff = constant(np.eye(reps.value.shape[0])) - a
     return (diff * diff).sum().sqrt()
 
 
-def composed_l_orig(d_real, d_fake, clamp: float):
-    """loss.l_orig in primitive ops: mean log D(real) +
-    mean log(1 - D(fake)), probabilities clamped to [clamp, 1 - clamp]."""
+def composed_l_d_final(d_real, d_fake, clamp: float):
+    """loss.l_d_final in primitive ops: -(mean log D(real) +
+    mean log(1 - D(fake))), probabilities clamped to [clamp, 1 - clamp]."""
     lo, hi = clamp, 1.0 - clamp
-    return (_log(_clamp(d_real, lo, hi)).mean()
-            + _log(1.0 - _clamp(d_fake, lo, hi)).mean())
+    return _neg(_log(_clamp(d_real, lo, hi)).mean()
+                + _log(constant(1.0) - _clamp(d_fake, lo, hi)).mean())
 
 
 def composed_l_g_baseline(d_fake, clamp: float):
     """loss.l_g_baseline in primitive ops: -mean log D(fake),
     probabilities clamped to [clamp, 1 - clamp]."""
-    return -(_log(_clamp(d_fake, clamp, 1.0 - clamp)).mean())
+    return _neg(_log(_clamp(d_fake, clamp, 1.0 - clamp)).mean())

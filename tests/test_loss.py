@@ -13,43 +13,55 @@ from mmgan.loss import (
     generator_terms,
     l_d_final,
     l_g_baseline,
-    l_orig,
 )
 from mmgan.neural import constant, gradients, parameter
 from mmgan.regularizer import r_g
-from oracles import (composed_l_g_baseline, composed_l_orig, fd_gradients,
-                     max_rel_err, rel_err)
+from oracles import (composed_l_d_final, composed_l_g_baseline, fd_gradients,
+                     max_rel_err)
 
 
+# l_orig in these tests' names is the paper's L_orig, mean log D(real) +
+# mean log(1 - D(fake)); l_d_final is its negation, one fused node.
 def test_l_orig_hand_computed():
     want = (np.log(0.9) + np.log(0.8)) / 2 + (np.log(0.7) + np.log(0.9)) / 2
-    got = l_orig(constant([0.9, 0.8]), constant([0.3, 0.1])).item()
-    assert got == pytest.approx(want, rel=1e-12)
+    got = l_d_final(constant([0.9, 0.8]), constant([0.3, 0.1])).item()
+    assert got == pytest.approx(-want, rel=1e-12)
 
 
 def test_l_orig_clamps_saturated_probabilities():
-    got = l_orig(constant([1.0]), constant([0.0])).item()
+    got = l_d_final(constant([1.0]), constant([0.0])).item()
     assert np.isfinite(got)
-    assert got == pytest.approx(2 * np.log(1.0 - PROB_CLAMP), rel=1e-9)
-    worst = l_orig(constant([0.0]), constant([1.0])).item()
-    assert worst == pytest.approx(2 * np.log(PROB_CLAMP), rel=1e-9)
+    assert got == pytest.approx(-2 * np.log(1.0 - PROB_CLAMP), rel=1e-9)
+    worst = l_d_final(constant([0.0]), constant([1.0])).item()
+    assert worst == pytest.approx(-2 * np.log(PROB_CLAMP), rel=1e-9)
 
 
 def test_l_orig_rejects_non_probabilities():
-    with pytest.raises(ValueError, match="probabilities"):
-        l_orig(constant([1.2]), constant([0.5]))
-    with pytest.raises(ValueError, match="probabilities"):
-        l_orig(constant([0.5]), constant([-0.1]))
-    with pytest.raises(ValueError, match="empty"):
-        l_orig(constant([]), constant([0.5]))
+    with pytest.raises(ValueError, match="^d_real must hold probabilities"):
+        l_d_final(constant([1.2]), constant([0.5]))
+    with pytest.raises(ValueError, match="^d_fake must hold probabilities"):
+        l_d_final(constant([0.5]), constant([-0.1]))
+    with pytest.raises(ValueError, match="^d_real is empty"):
+        l_d_final(constant([]), constant([0.5]))
+
+
+def test_adversarial_objectives_reject_nan_probabilities():
+    # NaN compares False both ways, so a range check must be written to
+    # fail on it rather than to pass it through as a NaN loss
+    with pytest.raises(ValueError, match="^d_real must hold probabilities"):
+        l_d_final(constant([0.5, np.nan]), constant([0.5]))
+    with pytest.raises(ValueError, match="^d_fake must hold probabilities"):
+        l_d_final(constant([0.5]), constant([np.nan, 0.5]))
+    with pytest.raises(ValueError, match="^d_fake must hold probabilities"):
+        l_g_baseline(constant([np.nan]))
 
 
 def test_l_orig_gradient_matches_finite_differences():
     dr = parameter(np.array([[0.6], [0.2], [0.9]]))
     df = parameter(np.array([[0.3], [0.7], [0.05]]))
     params = {"dr": dr, "df": df}
-    analytic = gradients(l_orig(dr, df), params)
-    numeric = fd_gradients(lambda: l_orig(dr, df).item(),
+    analytic = gradients(l_d_final(dr, df), params)
+    numeric = fd_gradients(lambda: l_d_final(dr, df).item(),
                            {k: p.value for k, p in params.items()}, h=1e-5)
     assert max_rel_err(analytic, numeric) < 1e-4
 
@@ -64,23 +76,24 @@ PROBS = hnp.arrays(np.float64, st.tuples(st.integers(1, 8), st.just(1)),
 @settings(deadline=None, max_examples=200)
 @given(PROBS, PROBS)
 def test_fused_l_orig_matches_composed_ops(d_real, d_fake):
-    # one node with a hand-written VJP: the composed ops' bits, and their
-    # gradient
-    assert (l_orig(constant(d_real), constant(d_fake)).item()
-            == composed_l_orig(constant(d_real), constant(d_fake), PROB_CLAMP).item())
+    # one node in place of clamp, log, mean, the 1 - p of the fakes, the
+    # sum and the negation: their value and their gradients, to the last bit
     fused = {"r": parameter(d_real), "f": parameter(d_fake)}
     composed = {"r": parameter(d_real), "f": parameter(d_fake)}
-    g_fused = gradients(l_orig(fused["r"], fused["f"]), fused)
-    g_composed = gradients(
-        composed_l_orig(composed["r"], composed["f"], PROB_CLAMP), composed)
+    node = l_d_final(fused["r"], fused["f"])
+    chain = composed_l_d_final(composed["r"], composed["f"], PROB_CLAMP)
+    assert np.array_equal(node.value, chain.value)
+    g_fused = gradients(node, fused)
+    g_composed = gradients(chain, composed)
     for name in fused:
-        assert rel_err(g_fused[name], g_composed[name]) < 1e-9
+        assert g_fused[name].shape == fused[name].shape
+        assert np.array_equal(g_fused[name], g_composed[name])
 
 
 def test_fused_l_orig_gradient_is_zero_outside_the_open_clamp():
     edges = np.array([[0.0], [PROB_CLAMP], [1.0 - PROB_CLAMP], [1.0]])
     params = {"r": parameter(edges), "f": parameter(edges)}
-    g = gradients(l_orig(params["r"], params["f"]), params)
+    g = gradients(l_d_final(params["r"], params["f"]), params)
     assert np.array_equal(g["r"], np.zeros_like(edges))
     assert np.array_equal(g["f"], np.zeros_like(edges))
 
@@ -116,12 +129,6 @@ def test_fused_l_g_baseline_gradient_is_zero_outside_the_open_clamp():
     f = parameter(edges)
     assert np.array_equal(gradients(l_g_baseline(f), {"f": f})["f"],
                           np.zeros_like(edges))
-
-
-def test_bce_is_negated_l_orig():
-    dr, df = constant([0.7, 0.6]), constant([0.4, 0.2])
-    assert (l_d_final(dr, df).item()
-            == pytest.approx(-l_orig(dr, df).item(), rel=1e-15))
 
 
 def test_batch_radius_conventions_differ():
@@ -211,7 +218,7 @@ def test_stat_overrides_are_respected():
     cfg = LossConfig(beta=0.0)
     cr = np.zeros(3)
     t = generator_terms(cfg, constant(real), constant(fake),
-                        real=(cr, 7.0, None))
+                        real=(constant(cr), constant(7.0), None))
     cf = fake.mean(axis=0)
     want_manifold = np.linalg.norm(cr - cf)
     want_radius = abs(7.0 - batch_stats(None, constant(fake))[1].item())

@@ -236,22 +236,22 @@ ARMS = {"rbf": dict(kernel="rbf", beta=1.0),
     (ARMS["rbf"],
      dict(forward=5, forward_values=1, layer=8, mean_gram=3, kernel_radius=2,
           r_g=2),
-     {}, [10, 27], (44, 44)),
+     {}, [9, 27], (43, 43)),
     (ARMS["rbf-beta0"],
      dict(forward=5, forward_values=1, layer=8, mean_gram=3, kernel_radius=2,
           r_g=0),
-     dict(r_g=1), [10, 21], (36, 38)),
+     dict(r_g=1), [9, 21], (35, 37)),
     (ARMS["baseline"],
      dict(forward=4, forward_values=0, layer=8, mean_gram=0, kernel_radius=0,
           r_g=0),
-     dict(forward=2, forward_values=2, layer=2, r_g=1), [10, 9], (14, 46)),
+     dict(forward=2, forward_values=2, layer=2, r_g=1), [9, 9], (13, 45)),
 ], ids=list(ARMS))
 def test_work_per_step(monkeypatch, keys, per_step, report_extra,
                        backward_nodes, tensors):
     # each quantity is computed once per step: one G forward, one D pass
     # over each batch before D's update and over the fakes after it, each
     # batch's mean Gram shared by its radius and the MMD^2, and the fake
-    # rg_score shared by the penalty and the report; r_g, l_orig and
+    # rg_score shared by the penalty and the report; r_g, l_d_final and
     # l_g_baseline are one node each, and G's backward holds no D
     # parameter. After D's update the matcher runs D's feature layers
     # alone, on both batches. Only a report step does what the report alone
