@@ -133,7 +133,9 @@ def load_idx(images_path) -> DatasetHandle:
     if magic != IDX_IMAGES_MAGIC:
         raise ValueError(f"{images_path}: bad images magic {magic}, "
                          f"expected {IDX_IMAGES_MAGIC}")
-    if count < 1 or rows < 1 or cols < 1:
+    # r_g correlates generated images across their pixels, which takes at
+    # least 2 pixels an image
+    if count < 1 or rows * cols < 2:
         raise ValueError(f"{images_path}: degenerate idx dimensions "
                          f"{count}x{rows}x{cols}")
     size = count * rows * cols

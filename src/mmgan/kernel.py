@@ -9,7 +9,7 @@ feature distance to the batch, just as the plain centroid does in input
 space; phi(mean of s_i) is not that point unless phi is linear. All
 distances reduce to mean kernel values over row pairs:
 ||mu_a - mu_b||^2 = <mu_a, mu_a> - 2 <mu_a, mu_b> + <mu_b, mu_b>, with
-<mu_a, mu_b> = mean_ij K(a_i, b_j). For rbf and exp kernels K(x,x) = 1, so
+<mu_a, mu_b> = mean_ij K(a_i, b_j). For the rbf kernel K(x,x) = 1, so
 per-point self terms are constants with zero gradient.
 """
 
@@ -29,7 +29,7 @@ __all__ = [
     "kernel_radius",
 ]
 
-KERNEL_KINDS = ("linear", "rbf", "exp")
+KERNEL_KINDS = ("linear", "rbf")
 
 # below this, relative to the kernel values it is made of, a kernel-trick
 # squared distance is a bug, not roundoff
@@ -41,7 +41,7 @@ class KernelSpec:
     """Kernel family plus bandwidth.
 
     gamma=None means "resolve to 1/d from the input dimension at call time"
-    (rbf and exp only; ignored by linear).
+    (rbf only; ignored by linear).
     """
 
     kind: str
@@ -69,44 +69,33 @@ def mean_gram(spec: KernelSpec, a, b):
             or va.shape[0] < 1 or vb.shape[0] < 1):
         raise ValueError(f"incompatible batches {va.shape} and {vb.shape}")
     w = 1.0 / (va.shape[0] * vb.shape[0])
-    if spec.kind == "linear":
-        k = va @ vb.T
-    else:
+    rbf = spec.kind == "rbf"
+    if rbf:
         gamma = spec.resolve_gamma(va.shape[1])
-        if spec.kind == "rbf":
-            # expanded squared distances: roundoff of order eps * |s|^2,
-            # harmless inside exp and far cheaper than n x m x d differences
-            sq = ((va * va).sum(axis=1)[:, None] + (vb * vb).sum(axis=1)[None, :]
-                  - 2.0 * (va @ vb.T))
-            k = np.exp(-gamma * np.maximum(sq, 0.0))
-        else:
-            # exact differences: the square root would amplify that
-            # roundoff to sqrt(eps) * |s| for coinciding points
-            diff = va[:, None, :] - vb[None, :, :]
-            dist = np.sqrt((diff * diff).sum(axis=2))
-            k = np.exp(-gamma * dist)
+        # expanded squared distances: roundoff of order eps * |s|^2,
+        # harmless inside exp, where no square root amplifies it, and far
+        # cheaper than n x m x d differences
+        sq = ((va * va).sum(axis=1)[:, None] + (vb * vb).sum(axis=1)[None, :]
+              - 2.0 * (va @ vb.T))
+        k = np.exp(-gamma * np.maximum(sq, 0.0))
+    else:
+        k = va @ vb.T
     value = k.sum() * w
 
     def vjp(g):
-        # linear kernel:    dK(a_i, b_j)/da_i = slope_ij b_j;
-        # distance kernels: dK(a_i, b_j)/da_i = slope_ij (a_i - b_j);
+        # linear: dK(a_i, b_j)/da_i = slope_ij b_j;
+        # rbf:    dK(a_i, b_j)/da_i = slope_ij (a_i - b_j);
         # and the mirror images for b_j. Value-only calls never form slope.
-        if spec.kind == "linear":
-            slope = np.ones_like(k)
-        elif spec.kind == "rbf":
-            slope = -2.0 * gamma * k
-        else:
-            slope = np.divide(-gamma * k, dist, out=np.zeros_like(k),
-                              where=dist > 0.0)
+        slope = -2.0 * gamma * k if rbf else np.ones_like(k)
         ga = gb = None
         if a.requires_grad:
             ga = slope @ vb
-            if spec.kind in ("rbf", "exp"):
+            if rbf:
                 ga = slope.sum(axis=1)[:, None] * va - ga
             ga = ga * (g * w)
         if b.requires_grad:
             gb = slope.T @ va
-            if spec.kind in ("rbf", "exp"):
+            if rbf:
                 gb = slope.sum(axis=0)[:, None] * vb - gb
             gb = gb * (g * w)
         return ga, gb
@@ -155,7 +144,7 @@ def kernel_radius(spec: KernelSpec, points, gram=None):
     vp = points.value
     if vp.ndim != 2 or vp.shape[0] < 1:
         raise ValueError(f"expected non-empty (n, d) points, got {vp.shape}")
-    # mean_i K(s_i, s_i): |s_i|^2 for linear, the constant 1 for rbf/exp
+    # mean_i K(s_i, s_i): |s_i|^2 for linear, the constant 1 for rbf
     diag = ((points * points).sum(axis=1).mean() if spec.kind == "linear"
             else constant(1.0))
     if gram is None:

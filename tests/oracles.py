@@ -110,10 +110,7 @@ def kernel_eval(spec, a, b):
         return float((a * b).sum())
     gamma = spec.resolve_gamma(a.shape[0])
     diff = a - b
-    sq = (diff * diff).sum()
-    if spec.kind == "rbf":
-        return float(np.exp(-gamma * sq))
-    return float(np.exp(-gamma * np.sqrt(sq)))  # exp kernel, euclidean not squared
+    return float(np.exp(-gamma * (diff * diff).sum()))
 
 
 def _transpose(t):

@@ -210,7 +210,7 @@ def test_kernel_choices_in_help(capsys):
     for command in ("train", "gradcheck"):
         with pytest.raises(SystemExit):
             main([command, "--help"])
-        assert "--kernel {none,linear,rbf,exp}" in capsys.readouterr().out
+        assert "--kernel {none,linear,rbf}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("line", [
@@ -376,7 +376,7 @@ def test_eval_needs_location(capsys):
 def test_gradcheck_full_table(capsys):
     assert main(["gradcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 6
     assert all("ok" in line for line in lines)
 
 
@@ -601,26 +601,68 @@ def test_eval_damaged_gz_idx_exits_1(tmp_path, monkeypatch, damage):
     assert err.startswith("error: damaged gzip data in") and str(p) in err
 
 
-# how a run wrote its manifest while IDX label files were still an input
-def _old_manifest(run_dir) -> str:
+def test_train_one_pixel_idx_exits_1(tmp_path):
+    p = tmp_path / "dots.idx"
+    _write_idx(p, rows=1, cols=1)
+    out = tmp_path / "run"
+    code, _, err = _main_quietly(["train", "--dataset", "idx", "--idx-images",
+                                  str(p), "--out", str(out)])
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith("error:") and "1x1" in err
+    assert not out.exists()
+
+
+def test_eval_one_pixel_idx_exits_1(tmp_path, monkeypatch):
+    # the run trains on 7x7 images, which are replaced by 1x1 ones afterwards
+    p = tmp_path / "mini.idx"
+    _write_idx(p)
+    monkeypatch.chdir(tmp_path)
+    assert main(["train", "--dataset", "idx", "--idx-images", p.name,
+                 "--steps", "2", "--batch", "16", "--eval-samples", "32",
+                 "--out", "idx_run"]) == 0
+    _write_idx(p, rows=1, cols=1)
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = _main_quietly(["eval", "--out", "idx_run"])
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error:") and "1x1" in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+# how a run wrote its manifest while IDX label files, or the exp kernel,
+# were still inputs
+_STALE = {"idx_labels": ("idx_images = none\n",
+                         "idx_images = none\nidx_labels = none\n"),
+          "exp": ("kernel = none\n", "kernel = exp\n")}
+
+
+def _old_manifest(run_dir, stale) -> str:
     run_dir.mkdir()
-    text = manifest_text(RunConfig(out=str(run_dir))).replace(
-        "idx_images = none\n", "idx_images = none\nidx_labels = none\n")
+    current, old = _STALE[stale]
+    text = manifest_text(RunConfig(out=str(run_dir)))
+    assert current in text
+    text = text.replace(current, old)
     (run_dir / "manifest.txt").write_text(text)
     return str(run_dir / "manifest.txt")
 
 
-@pytest.mark.parametrize("argv, named", [
-    (["train", "--config", "{manifest}", "--out", "{tmp}/rerun"],
+@pytest.mark.parametrize("stale, argv, named", [
+    ("idx_labels", ["train", "--config", "{manifest}", "--out", "{tmp}/rerun"],
      "'idx_labels'"),
-    (["eval", "--out", "{tmp}/old"], "'idx_labels'"),
-    (["train", *FAST, "--idx-labels", "x", "--out", "{tmp}/rerun"],
-     "--idx-labels"),
-    (["eval", "--config", "{manifest}"], "--config"),
+    ("idx_labels", ["eval", "--out", "{tmp}/old"], "'idx_labels'"),
+    ("idx_labels", ["train", *FAST, "--idx-labels", "x", "--out",
+                    "{tmp}/rerun"], "--idx-labels"),
+    ("idx_labels", ["eval", "--config", "{manifest}"], "--config"),
+    ("exp", ["train", "--config", "{manifest}", "--out", "{tmp}/rerun"],
+     "'exp'"),
+    ("exp", ["eval", "--out", "{tmp}/old"], "'exp'"),
+    ("exp", ["train", *FAST, "--kernel", "exp", "--out", "{tmp}/rerun"],
+     "'exp'"),
+    ("exp", ["gradcheck", "--kernel", "exp"], "'exp'"),
 ], ids=["train-old-manifest", "eval-old-manifest", "train-idx-labels",
-        "eval-config"])
-def test_removed_inputs_exit_1(tmp_path, argv, named):
-    manifest = _old_manifest(tmp_path / "old")
+        "eval-config", "train-exp-manifest", "eval-exp-manifest",
+        "train-kernel-exp", "gradcheck-kernel-exp"])
+def test_removed_inputs_exit_1(tmp_path, stale, argv, named):
+    manifest = _old_manifest(tmp_path / "old", stale)
     before = sorted(tmp_path.rglob("*"))
     code, _, err = _main_quietly(
         [a.format(manifest=manifest, tmp=tmp_path) for a in argv])
@@ -650,7 +692,7 @@ _FUZZ_KEYS = {
     "dataset": (st.sampled_from(["ring8", "grid25", "rings2"]),
                 st.sampled_from(["nosuch", "idx"])),
     "kernel": (st.sampled_from(KERNEL_CHOICES),
-               st.sampled_from(["poly", "cubic"])),
+               st.sampled_from(["poly", "cubic", "exp"])),
     "baseline": (st.sampled_from(["true", "false"]),
                  st.sampled_from(["yes", "1", ""])),
     "steps": (st.integers(1, 3), st.integers(-3, 0)),

@@ -142,6 +142,17 @@ def test_load_idx_rejects_truncations(tmp_path):
             load_idx(p)
 
 
+@pytest.mark.parametrize("count, rows, cols", [(0, 2, 2), (2, 0, 2),
+                                               (4, 1, 1)])
+def test_load_idx_rejects_degenerate_dimensions(tmp_path, count, rows, cols):
+    # a 1-pixel image leaves r_g no pixels to correlate across
+    p = tmp_path / "d.idx"
+    p.write_bytes(idx_images_bytes(np.zeros((count, rows, cols))))
+    with pytest.raises(ValueError, match="degenerate idx dimensions "
+                       f"{count}x{rows}x{cols}"):
+        load_idx(p)
+
+
 def test_load_idx_ignores_trailing_bytes(tmp_path):
     p = tmp_path / "i.idx"
     p.write_bytes(idx_images_bytes(PIXELS) + bytes(3))

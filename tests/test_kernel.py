@@ -16,7 +16,6 @@ from oracles import fd_gradients, kernel_eval, max_rel_err
 ALL_SPECS = [
     KernelSpec("linear"),
     KernelSpec("rbf", gamma=0.5),
-    KernelSpec("exp", gamma=0.3),
 ]
 
 
@@ -25,15 +24,11 @@ def test_closed_form_values():
     assert kernel_eval(KernelSpec("linear"), a, b) == pytest.approx(11.0)
     assert kernel_eval(KernelSpec("rbf", gamma=0.5),
                        np.zeros(2), np.ones(2)) == pytest.approx(np.exp(-1.0))
-    # exp kernel uses the plain euclidean distance: ||(3,4)|| = 5
-    assert kernel_eval(KernelSpec("exp", gamma=0.1),
-                       np.zeros(2), np.array([3.0, 4.0])) == pytest.approx(np.exp(-0.5))
 
 
 def test_rbf_self_similarity_is_one():
     a = np.array([0.3, -2.0, 5.5])
-    for kind in ("rbf", "exp"):
-        assert kernel_eval(KernelSpec(kind, gamma=1.3), a, a) == pytest.approx(1.0)
+    assert kernel_eval(KernelSpec("rbf", gamma=1.3), a, a) == pytest.approx(1.0)
 
 
 def test_gamma_defaults_to_inverse_dim():
@@ -198,4 +193,4 @@ def test_gradients_through_kernel_ops(spec):
 
 
 def test_kernel_kinds_is_complete():
-    assert set(KERNEL_KINDS) == {"linear", "rbf", "exp"}
+    assert set(KERNEL_KINDS) == {"linear", "rbf"}

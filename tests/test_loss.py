@@ -238,7 +238,6 @@ def test_matched_batches_give_zero_matching_terms():
     LossConfig(alpha=1.0, beta=1.0),
     LossConfig(alpha=0.5, beta=0.8, kernel=KernelSpec("linear")),
     LossConfig(alpha=1.0, beta=1.0, kernel=KernelSpec("rbf", gamma=0.6)),
-    LossConfig(alpha=1.2, beta=0.4, kernel=KernelSpec("exp", gamma=0.4)),
 ], ids=lambda c: c.kernel.kind if c.kernel else "plain")
 def test_generator_loss_gradient_fd(cfg):
     rng = np.random.default_rng(10)
